@@ -15,13 +15,11 @@ met regardless of what the servers do.
 Run:  python examples/multi_server.py
 """
 
-from repro.core.multiserver import (
-    MultiServerDecisionManager,
-    RoutingTransport,
-)
+from repro.core.odm import OffloadingDecisionManager
 from repro.estimator.benefit_builder import quality_benefit
 from repro.estimator.sampling import probe_server
 from repro.sched.offload_scheduler import OffloadingScheduler
+from repro.sched.transport import RoutingTransport
 from repro.server.scenarios import SCENARIOS, ServerScenario, build_server
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams, derive_seed
@@ -86,7 +84,7 @@ def main() -> None:
     print("probing both servers (per task, per level)...")
     benefits = measure_benefits()
 
-    decision = MultiServerDecisionManager("dp").decide(tasks, benefits)
+    decision = OffloadingDecisionManager("dp").decide(tasks, benefits)
     print("\nplacements:")
     for task_id, (server, r) in sorted(decision.placements.items()):
         where = f"{server} @ R={r * 1000:.0f} ms" if server else "local"

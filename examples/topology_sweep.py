@@ -21,15 +21,12 @@ Run:  python examples/topology_sweep.py
 
 from collections import Counter
 
+from repro.core.odm import OffloadingDecisionManager
 from repro.experiments import TopologySweepConfig, run_topology_sweep
 from repro.knapsack import SolverCache
 from repro.scenarios import ScenarioSpec, generate_scenario
 from repro.sim.rng import RandomStreams
-from repro.topology import (
-    TopologyDecisionManager,
-    estimate_topology_benefits,
-    make_topology,
-)
+from repro.topology import estimate_topology_benefits, make_topology
 
 
 def main() -> None:
@@ -43,7 +40,7 @@ def main() -> None:
     benefits, bounds = estimate_topology_benefits(
         tasks, topo, RandomStreams(17), num_samples=64
     )
-    router = TopologyDecisionManager(
+    router = OffloadingDecisionManager(
         "dp", cache=SolverCache(), resolution=2_000
     )
     decision = router.decide(tasks, benefits, bounds)
@@ -60,16 +57,19 @@ def main() -> None:
     )
     victim = routed.most_common(1)[0][0] if routed else None
     if victim is not None:
-        n = router.breaker(victim).min_samples
-        router.record_window(0, {victim: (0, n)})  # a window of failures
+        health = router.health
+        n = health.breaker(victim).min_samples
+        health.record(victim, failures=n)          # a window of failures
+        health.close_window(0)
         degraded = router.decide(tasks, benefits, bounds)
         print(f"\n{victim} died (breaker open): "
               f"benefit {decision.expected_benefit:.1f} -> "
               f"{degraded.expected_benefit:.1f}, "
               f"pruned={degraded.pruned_servers}")
 
-        router.record_window(1, {})                # cooldown: half_open
-        router.record_window(2, {victim: (n, 0)})  # clean probe: closed
+        health.close_window(1)                     # cooldown: half_open
+        health.record(victim, successes=n)         # clean probe: closed
+        health.close_window(2)
         recovered = router.decide(tasks, benefits, bounds)
         identical = recovered.placements == decision.placements
         print(f"{victim} recovered: decision restored bit-for-bit: "

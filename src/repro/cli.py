@@ -316,18 +316,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .observability import Observability
     from .service import BatchPolicy, ODMService, serve_tcp
 
-    if args.uvloop:
-        try:
-            import uvloop  # type: ignore
-
-            uvloop.install()
-            print("event loop: uvloop")
-        except ImportError:
-            print(
-                "warning: --uvloop requested but uvloop is not "
-                "installed; using the stdlib event loop"
-            )
-
     service = ODMService(
         resolution=args.resolution,
         workers=args.workers,
@@ -929,10 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7741)
-    p.add_argument(
-        "--uvloop", action="store_true",
-        help="use uvloop when installed (falls back with a warning)",
-    )
     p.add_argument("--max-batch", type=int, default=16)
     p.add_argument(
         "--max-wait", type=float, default=0.002,

@@ -12,13 +12,13 @@ from .dbf import (
     demand_checkpoints,
     processor_demand_test,
 )
-from .multiserver import (
-    MultiServerDecision,
-    MultiServerDecisionManager,
-    RoutingTransport,
-    build_multiserver_mckp,
+from .odm import (
+    DEFAULT_SERVER,
+    OffloadingDecision,
+    OffloadingDecisionManager,
+    build_mckp,
+    one_node_topology,
 )
-from .odm import OffloadingDecision, OffloadingDecisionManager, build_mckp
 from .qpa import qpa_test
 from .schedulability import (
     OffloadAssignment,
@@ -45,10 +45,6 @@ __all__ = [
     "processor_demand_test",
     "ProcessorDemandResult",
     "qpa_test",
-    "MultiServerDecision",
-    "MultiServerDecisionManager",
-    "RoutingTransport",
-    "build_multiserver_mckp",
     "OffloadAssignment",
     "SchedulabilityResult",
     "theorem3_test",
@@ -57,4 +53,6 @@ __all__ = [
     "OffloadingDecision",
     "OffloadingDecisionManager",
     "build_mckp",
+    "DEFAULT_SERVER",
+    "one_node_topology",
 ]

@@ -21,11 +21,17 @@ Structurally infeasible points (``r_{i,j} ≥ D_i`` or
 they could never be part of a feasible schedule regardless of the other
 tasks.  Task weights (case-study importance values) scale the item
 values, not the benefit functions themselves.
+
+Several candidate servers extend each class to server × level items
+(``build_mckp``'s topology mode).  :class:`OffloadingDecisionManager`
+runs one pipeline for both: a single-server decision is the one-node
+topology of the tasks' own benefit functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..knapsack import (
@@ -36,32 +42,72 @@ from ..knapsack import (
     Selection,
     SolverCache,
 )
+from .benefit import BenefitFunction
 from .schedulability import (
     OffloadAssignment,
     SchedulabilityResult,
     theorem3_test,
 )
-from .task import OffloadableTask, Task, TaskSet
+from .task import OffloadableTask, TaskSet
 
-__all__ = ["OffloadingDecision", "OffloadingDecisionManager", "build_mckp"]
+__all__ = [
+    "DEFAULT_SERVER",
+    "OffloadingDecision",
+    "OffloadingDecisionManager",
+    "build_mckp",
+    "offload_assignments",
+    "one_node_topology",
+    "read_placements",
+]
+
+#: The one node of a single-server decision: the server the tasks' own
+#: benefit functions describe.
+DEFAULT_SERVER = "server"
+
+Placements = Mapping[str, Tuple[Optional[str], float]]
+ServerBenefits = Mapping[str, Mapping[str, BenefitFunction]]
+ServerBounds = Mapping[str, Mapping[str, float]]
 
 
 @dataclass(frozen=True)
 class OffloadingDecision:
-    """The ODM's output: per-task response-time settings plus evidence.
+    """The ODM's output: per-task ``(server, R_i)`` placements plus evidence.
 
-    ``response_times`` maps every task id to its selected ``R_i``
-    (0.0 = execute locally).  ``expected_benefit`` is the MCKP objective
-    value Σ G_i(R_i) (weighted).  ``schedulability`` re-verifies the
-    decision against Theorem 3 — by construction it is always feasible,
-    and the ODM asserts this.
+    ``placements`` maps every task id to ``(server_id, R_i)``; local
+    execution is ``(None, 0.0)``.  ``expected_benefit`` is the MCKP
+    objective value Σ G_i(R_i) (weighted).  ``schedulability``
+    re-verifies the decision against Theorem 3 — by construction it is
+    always feasible, and the ODM asserts this.  ``pruned_servers`` names
+    the servers whose breaker was open when the decision was made.
     """
 
-    response_times: Mapping[str, float]
+    placements: Placements
     expected_benefit: float
     total_demand_rate: float
     schedulability: SchedulabilityResult
     solver: str
+    pruned_servers: Tuple[str, ...] = ()
+
+    @property
+    def degraded(self) -> bool:
+        return bool(self.pruned_servers)
+
+    @cached_property
+    def response_times(self) -> Dict[str, float]:
+        """The plain ``task_id -> R_i`` view the scheduler consumes."""
+        return {tid: r for tid, (_, r) in self.placements.items()}
+
+    @property
+    def routes(self) -> Dict[str, str]:
+        """``task_id -> server_id`` for the offloaded tasks only."""
+        return {
+            tid: server
+            for tid, (server, r) in self.placements.items()
+            if server is not None and r > 0
+        }
+
+    def server_of(self, task_id: str) -> Optional[str]:
+        return self.placements[task_id][0]
 
     @property
     def offloaded_task_ids(self) -> Tuple[str, ...]:
@@ -85,6 +131,36 @@ class OffloadingDecision:
 
     def response_time_of(self, task_id: str) -> float:
         return self.response_times[task_id]
+
+
+def one_node_topology(tasks: TaskSet) -> Dict[str, Dict[str, BenefitFunction]]:
+    """The single-server case as a topology: every offloadable task's own
+    benefit function on :data:`DEFAULT_SERVER`."""
+    return {
+        DEFAULT_SERVER: {
+            task.task_id: task.benefit for task in tasks.offloadable_tasks
+        }
+    }
+
+
+def read_placements(
+    instance: MCKPInstance, selection: Selection
+) -> Dict[str, Tuple[Optional[str], float]]:
+    """Read the ``(server, R_i)`` tags of a topology-form selection."""
+    placements: Dict[str, Tuple[Optional[str], float]] = {}
+    for cls in instance.classes:
+        server_id, r = selection.item_for(cls.class_id).tag
+        placements[cls.class_id] = (server_id, float(r))
+    return placements
+
+
+def offload_assignments(placements: Placements) -> List[OffloadAssignment]:
+    """The offloaded placements as Theorem 3 assignments."""
+    return [
+        OffloadAssignment(tid, r)
+        for tid, (_server, r) in placements.items()
+        if r > 0
+    ]
 
 
 def _offload_item(
@@ -251,7 +327,19 @@ def build_mckp(
 
 
 class OffloadingDecisionManager:
-    """Facade that runs the full §5 pipeline: reduce → solve → verify.
+    """The one §5 pipeline: reduce → prune → solve → verify.
+
+    Every decision is a topology decision: ``decide(tasks)`` is the
+    one-node case (the tasks' own benefit functions on
+    :data:`DEFAULT_SERVER`), ``decide(tasks, server_benefits,
+    server_bounds)`` routes across several servers.  Both build the
+    topology-form MCKP (:func:`build_mckp`), drop the choice groups of
+    servers whose breaker in :attr:`health` is open, solve (through the
+    cache when there is one), read the ``(server, R_i)`` placements back
+    and re-verify them twice: a strict per-server recomputation of every
+    chosen item's demand rate, then :func:`theorem3_test`.  A one-node
+    instance has the plain reduction's values and weights in the same
+    order, so it solves bit-for-bit like it.
 
     Parameters
     ----------
@@ -263,12 +351,17 @@ class OffloadingDecisionManager:
         An optional :class:`repro.knapsack.SolverCache` (or ``True`` for
         a private default-sized one).  The adaptive/health runtimes
         re-decide over an unchanged believed task set every decision
-        window; with a cache those repeat solves are dictionary lookups.
+        window; with a cache those repeat solves are dictionary lookups,
+        and a server whose breaker re-closes gets its original decision
+        back bit-for-bit.
     objective:
         Optional item-value policy forwarded to :func:`build_mckp` —
         an object with ``local_value(task)`` and
         ``offload_value(task, point)``.  Values only; the feasible region
         and the Theorem 3 re-verification are unchanged.
+
+    ``health`` is a :class:`~repro.runtime.health.BreakerBank` with
+    default breakers; assign another bank to configure them.
     """
 
     def __init__(
@@ -278,6 +371,9 @@ class OffloadingDecisionManager:
         objective=None,
         **solver_kwargs,
     ) -> None:
+        # runtime.health decides through this module: import lazily
+        from ..runtime.health import BreakerBank
+
         if callable(solver):
             self._solve: Callable = solver
             self.solver_name = getattr(solver, "__name__", "custom")
@@ -299,9 +395,22 @@ class OffloadingDecisionManager:
         # ``len() == 0`` and is falsy, which used to silently disable
         # caching for every ``cache=True`` caller.
         self.cache: Optional[SolverCache] = cache
+        self.health = BreakerBank()
 
-    def decide(self, tasks: TaskSet) -> OffloadingDecision:
+    def decide(
+        self,
+        tasks: TaskSet,
+        server_benefits: Optional[ServerBenefits] = None,
+        server_bounds: Optional[ServerBounds] = None,
+    ) -> OffloadingDecision:
         """Compute offloading decisions for ``tasks``.
+
+        ``server_benefits[server_id][task_id]`` is the benefit function
+        measured for that task on that server (default: the one-node
+        topology of the tasks' own functions); ``server_bounds`` the
+        per-server §3 guarantee bounds.  Open-breaker servers contribute
+        no items; the local item always survives, so the fully degraded
+        instance is exactly the local-only reduction.
 
         Raises ``ValueError`` when even the all-local configuration is
         infeasible (``Σ C_i/T_i > 1``) — the mechanism presupposes a
@@ -312,18 +421,40 @@ class OffloadingDecisionManager:
                 "cannot decide over an empty task set; add tasks first"
             )
         tasks.validate()
-        return self.decide_from_instance(
-            tasks, build_mckp(tasks, objective=self.objective)
+        if server_benefits is None:
+            server_benefits = one_node_topology(tasks)
+        open_servers = self.health.open_servers
+        pruned = tuple(sid for sid in server_benefits if sid in open_servers)
+        instance = build_mckp(
+            tasks,
+            objective=self.objective,
+            topology=server_benefits,
+            allowed_servers=(
+                set(server_benefits) - set(pruned) if pruned else None
+            ),
+            server_bounds=server_bounds,
         )
+        decision = self.decide_from_instance(
+            tasks, instance, server_benefits, server_bounds
+        )
+        return replace(decision, pruned_servers=pruned) if pruned else decision
 
     def decide_from_instance(
-        self, tasks: TaskSet, instance: MCKPInstance
+        self,
+        tasks: TaskSet,
+        instance: MCKPInstance,
+        server_benefits: Optional[ServerBenefits] = None,
+        server_bounds: Optional[ServerBounds] = None,
     ) -> OffloadingDecision:
-        """Solve + verify a pre-built MCKP instance for ``tasks``.
+        """Solve + verify a pre-built topology-form MCKP for ``tasks``.
 
         Lets callers that compare several solvers on the *same* task set
-        (e.g. the fig3 sweep) share one :func:`build_mckp` reduction.
+        (e.g. the fig3 sweep) share one reduction,
+        ``build_mckp(tasks, topology=one_node_topology(tasks))`` for the
+        single-server case (the ``server_benefits`` default).
         """
+        if server_benefits is None:
+            server_benefits = one_node_topology(tasks)
         if self.cache is not None:
             selection: Optional[Selection] = self.cache.solve(
                 self.solver_name,
@@ -339,18 +470,14 @@ class OffloadingDecisionManager:
                 "all-local configuration is feasible; this indicates a "
                 "solver bug"
             )
-
-        response_times: Dict[str, float] = {}
-        for cls in instance.classes:
-            item = selection.item_for(cls.class_id)
-            response_times[cls.class_id] = float(item.tag)
-
-        assignments = [
-            OffloadAssignment(tid, r)
-            for tid, r in response_times.items()
-            if r > 0
-        ]
-        check = theorem3_test(tasks, assignments)
+        placements = read_placements(instance, selection)
+        _verify_demand(
+            tasks, server_benefits, server_bounds, placements, selection
+        )
+        check = theorem3_test(
+            _effective_tasks(tasks, placements, server_bounds),
+            offload_assignments(placements),
+        )
         if not check.feasible:
             raise AssertionError(
                 "ODM produced a Theorem-3-infeasible decision "
@@ -358,9 +485,97 @@ class OffloadingDecisionManager:
                 "weights and the schedulability test have diverged"
             )
         return OffloadingDecision(
-            response_times=response_times,
+            placements=placements,
             expected_benefit=selection.total_value,
             total_demand_rate=selection.total_weight,
             schedulability=check,
             solver=self.solver_name,
+        )
+
+    def cache_stats(self) -> Optional[Dict[str, int]]:
+        """The unified 9-key cache stats, or ``None`` without a cache."""
+        return None if self.cache is None else dict(self.cache.stats)
+
+
+def _effective_tasks(
+    tasks: TaskSet,
+    placements: Placements,
+    server_bounds: Optional[ServerBounds],
+) -> TaskSet:
+    """Tasks with each routed task's §3 bound set to its *chosen
+    server's* bound, so the generic Theorem 3 test budgets the same
+    second phase the routed MCKP did.  Identity when no per-server
+    bounds are in play."""
+    if not server_bounds:
+        return tasks
+    effective = TaskSet()
+    for task in tasks:
+        server_id, _r = placements[task.task_id]
+        if isinstance(task, OffloadableTask) and server_id is not None:
+            bound = server_bounds.get(server_id, {}).get(task.task_id)
+            if bound is not None and bound != task.server_response_bound:
+                task = replace(task, server_response_bound=bound)
+        effective.add(task)
+    return effective
+
+
+def _routed_demand_rate(
+    task: OffloadableTask,
+    fn: BenefitFunction,
+    response_time: float,
+    bound: Optional[float],
+) -> float:
+    """Recompute one offloaded item's Theorem 3 demand rate from the
+    chosen server's own data (not from the MCKP item)."""
+    point = fn.point_at(response_time)
+    setup = (
+        point.setup_time if point.setup_time is not None else task.setup_time
+    )
+    if bound is not None and response_time >= bound - 1e-12:
+        second = task.post_time
+    else:
+        second = (
+            point.compensation_time
+            if point.compensation_time is not None
+            else task.compensation_time
+        )
+    return (setup + second) / (task.deadline - response_time)
+
+
+def _verify_demand(
+    tasks: TaskSet,
+    server_benefits: ServerBenefits,
+    server_bounds: Optional[ServerBounds],
+    placements: Placements,
+    selection: Selection,
+) -> None:
+    """Strict per-server re-verification of the Theorem 3 budget.
+
+    Recomputes every chosen item's demand rate from the chosen server's
+    own benefit point and §3 bound — independently of the MCKP items —
+    and checks the total against both the selection's weight and the
+    capacity.
+    """
+    total = 0.0
+    by_id = {task.task_id: task for task in tasks}
+    for tid, (server_id, r) in placements.items():
+        task = by_id[tid]
+        if server_id is None or r <= 0:
+            total += task.wcet / min(task.period, task.deadline)
+            continue
+        assert isinstance(task, OffloadableTask)
+        bound = task.server_response_bound
+        if server_bounds is not None:
+            bound = server_bounds.get(server_id, {}).get(tid, bound)
+        total += _routed_demand_rate(
+            task, server_benefits[server_id][tid], r, bound
+        )
+    if abs(total - selection.total_weight) > 1e-9:
+        raise AssertionError(
+            "per-server demand recomputation disagrees with the "
+            f"MCKP selection: {total} != {selection.total_weight}"
+        )
+    if total > 1.0 + 1e-9:
+        raise AssertionError(
+            f"decision exceeds the Theorem 3 budget: {total}"
         )

@@ -22,7 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.odm import OffloadingDecisionManager, build_mckp
+from ..core.odm import (
+    OffloadingDecisionManager,
+    build_mckp,
+    one_node_topology,
+)
 from ..estimator.errors import evaluate_true_benefit, perturb_task_set
 from ..parallel import SweepRunner
 from ..workloads.generator import paper_simulation_task_set
@@ -94,7 +98,9 @@ def _fig3_unit(
     for k, ratio in enumerate(accuracy_ratios):
         believed = perturb_task_set(truth, ratio)
         believed.validate()
-        instance = build_mckp(believed)
+        instance = build_mckp(
+            believed, topology=one_node_topology(believed)
+        )
         for name, manager in managers.items():
             decision = manager.decide_from_instance(believed, instance)
             benefits[name][k] = evaluate_true_benefit(

@@ -5,7 +5,7 @@ The topology analogue of the scenario campaign
 count × heterogeneity spread × link quality), and for every instance
 generate a task set, build the topology, estimate per-server benefit
 functions through each server's link, and take a routed decision with
-:class:`~repro.topology.TopologyDecisionManager`.
+:class:`~repro.core.odm.OffloadingDecisionManager`.
 
 Every instance is audited five ways:
 
@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..core.odm import build_mckp
+from ..core.odm import OffloadingDecisionManager, build_mckp
 from ..core.task import OffloadableTask, TaskSet
 from ..knapsack import SolverCache, canonical_instance_key, solve_dp
 from ..parallel import SweepRunner
@@ -52,11 +52,7 @@ from ..scenarios.matrix import (
     topology_smoke_matrix,
 )
 from ..sim.rng import RandomStreams
-from ..topology import (
-    TopologyDecisionManager,
-    estimate_topology_benefits,
-    make_topology,
-)
+from ..topology import estimate_topology_benefits, make_topology
 
 __all__ = [
     "TopologySweepConfig",
@@ -137,7 +133,7 @@ def _sweep_unit(
         tasks, topology, streams, num_samples=num_samples
     )
 
-    manager = TopologyDecisionManager(
+    manager = OffloadingDecisionManager(
         solver="dp", cache=SolverCache(), resolution=resolution
     )
     decision = manager.decide(tasks, server_benefits, server_bounds)
@@ -193,7 +189,7 @@ def _sweep_unit(
     degraded_benefit = decision.expected_benefit
     victim = _busiest_server(decision.placements)
     if victim is not None:
-        breaker = manager.breaker(victim)
+        breaker = manager.health.breaker(victim)
         breaker.record_window(0, successes=0, failures=breaker.min_samples)
         degraded = manager.decide(tasks, server_benefits, server_bounds)
         degraded_benefit = degraded.expected_benefit

@@ -35,7 +35,8 @@ from ..faults.process import (
     ReplicaProcess,
 )
 from ..observability import Observability
-from ..service.audit import audit_response, percentile
+from ..observability.metrics import percentile
+from ..service.audit import audit_response
 from ..service.batching import BatchPolicy
 from ..service.loadgen import LoadGenConfig, generate_bursts
 from ..service.server import ODMService

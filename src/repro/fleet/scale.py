@@ -39,7 +39,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..faults.process import ReplicaProcess
 from ..observability import Observability
-from ..service.audit import audit_response, percentile
+from ..observability.metrics import percentile
+from ..service.audit import audit_response
 from ..service.batching import BatchPolicy
 from ..service.loadgen import (
     OpenLoopConfig,

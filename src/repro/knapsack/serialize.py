@@ -10,10 +10,9 @@ both need a wire form that is
   record instead of mis-reconstructing it;
 * **exact** — cache keys are structural fingerprints with deliberate
   exact-float equality, so the codec must round-trip every float
-  bit-for-bit.  JSON text does (Python serializes floats via ``repr``)
-  and the msgpack wire codec carries IEEE-754 doubles natively; numpy
-  arrays travel as raw little-endian bytes (base64 when the outer
-  codec is JSON) with dtype and shape, so a decoded
+  bit-for-bit.  JSON text does (Python serializes floats via
+  ``repr``); numpy arrays travel as raw little-endian bytes (base64 in
+  the JSON text) with dtype and shape, so a decoded
   :class:`DeltaState` resumes the *identical* ``_run_dp`` instruction
   stream the originating replica would have executed;
 * **bounded** — :func:`encoded_size` measures a record's serialized
@@ -320,9 +319,8 @@ def decode_state(record) -> Tuple[Tuple, DeltaState]:
 def encoded_size(record: Dict[str, object]) -> int:
     """Serialized footprint (bytes) used for size-cap enforcement.
 
-    Measured on the compact JSON text — the upper bound of the two wire
-    codecs (msgpack is never larger), so a cap checked here holds on
-    the wire.
+    Measured on the compact JSON text the wire carries, so a cap
+    checked here holds on the wire.
     """
     return len(
         json.dumps(record, separators=(",", ":")).encode("utf-8")

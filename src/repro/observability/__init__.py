@@ -20,7 +20,7 @@ The usual entry point is the bundle::
     obs.bus.to_jsonl()         # replayable event log
 """
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
 from .profiling import (
     ProbeStats,
     Profiler,
@@ -42,6 +42,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "percentile",
     "MetricsRegistry",
     "MetricsRecorder",
     "Observability",

@@ -22,9 +22,28 @@ import json
 import math
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "percentile"]
 
 LabelsKey = Tuple[Tuple[str, str], ...]
+
+
+def percentile(values: Sequence[float], p: float) -> float:
+    """Linear-interpolated quantile of ``values``; 0.0 when empty.
+
+    ``p`` is in [0, 100]; rank ``p/100 · (n − 1)`` interpolates between
+    its two neighbouring order statistics.
+    """
+    if not 0.0 <= p <= 100.0:
+        raise ValueError("percentile must be in [0, 100]")
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = (p / 100.0) * (len(ordered) - 1)
+    lo = int(rank)
+    frac = rank - lo
+    if frac == 0.0:
+        return ordered[lo]
+    return ordered[lo] * (1 - frac) + ordered[lo + 1] * frac
 
 
 def _labels_key(labels: Optional[Mapping[str, str]]) -> LabelsKey:
@@ -95,21 +114,12 @@ class Histogram:
             self._sorted = True
 
     def percentile(self, p: float) -> float:
-        """Linear-interpolated quantile; ``p`` in [0, 100]."""
-        if not 0.0 <= p <= 100.0:
-            raise ValueError("percentile must be in [0, 100]")
+        """Linear-interpolated quantile (:func:`percentile`); ``p`` in
+        [0, 100]; raises on an empty histogram."""
         if not self.samples:
             raise ValueError("percentile of an empty histogram")
         self._ensure_sorted()
-        if len(self.samples) == 1:
-            return self.samples[0]
-        rank = (p / 100.0) * (len(self.samples) - 1)
-        lo = int(math.floor(rank))
-        hi = int(math.ceil(rank))
-        if lo == hi:
-            return self.samples[lo]
-        frac = rank - lo
-        return self.samples[lo] * (1 - frac) + self.samples[hi] * frac
+        return percentile(self.samples, p)
 
     def snapshot(self) -> Dict[str, float]:
         if not self.samples:

@@ -24,7 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.odm import OffloadingDecision, OffloadingDecisionManager
+from ..core.odm import (
+    DEFAULT_SERVER,
+    OffloadingDecision,
+    OffloadingDecisionManager,
+)
 from ..core.schedulability import OffloadAssignment, theorem3_test
 from ..core.task import OffloadableTask, Task, TaskSet
 
@@ -171,7 +175,10 @@ class AdmissionController:
             raise AssertionError("verdict no longer feasible at apply time")
         self.tasks = union
         self.decision = OffloadingDecision(
-            response_times=dict(verdict.response_times),
+            placements={
+                tid: (DEFAULT_SERVER if r > 0 else None, r)
+                for tid, r in verdict.response_times.items()
+            },
             expected_benefit=verdict.expected_benefit,
             total_demand_rate=check.total_demand_rate,
             schedulability=check,

@@ -13,6 +13,9 @@ resilience loop:
   re-run over the surviving configuration) → ``half_open`` after a
   cooldown (one probing window re-tries offloading) → ``closed`` again
   when the probe succeeds;
+* :class:`BreakerBank` keeps one breaker per named server plus that
+  server's outcome counts for the current window — the per-server
+  health of the decision manager and of the online service;
 * :class:`ResilientOffloadingSystem` runs the windowed decide → run →
   observe loop end to end, composing with the fault injectors in
   :mod:`repro.faults`.
@@ -47,6 +50,7 @@ __all__ = [
     "BREAKER_STATES",
     "HealthMonitor",
     "CircuitBreaker",
+    "BreakerBank",
     "ResilienceWindow",
     "ResilienceReport",
     "ResilientOffloadingSystem",
@@ -241,6 +245,68 @@ class CircuitBreaker:
             self.recoveries += 1
             self._move(window, "closed")
         return self.state
+
+
+class BreakerBank:
+    """One :class:`CircuitBreaker` per named server, fed window by window.
+
+    Breakers are created closed on first use from the bank's
+    :class:`CircuitBreaker` keyword arguments.  Outcomes accumulate as
+    two counts per server until :meth:`close_window` hands them to the
+    breakers, so the bank's state grows with the number of servers,
+    never with the number of outcomes.
+    """
+
+    def __init__(self, **breaker_kwargs) -> None:
+        self._breaker_kwargs = breaker_kwargs
+        self.breakers: Dict[str, CircuitBreaker] = {}
+        self._counts: Dict[str, List[int]] = {}
+
+    def breaker(self, server_id: str) -> CircuitBreaker:
+        """The breaker for ``server_id``, created closed on first use."""
+        breaker = self.breakers.get(server_id)
+        if breaker is None:
+            breaker = CircuitBreaker(**self._breaker_kwargs)
+            self.breakers[server_id] = breaker
+        return breaker
+
+    def state(self, server_id: str) -> str:
+        """Current breaker state (``closed`` for unknown servers)."""
+        breaker = self.breakers.get(server_id)
+        return "closed" if breaker is None else breaker.state
+
+    @property
+    def open_servers(self) -> Tuple[str, ...]:
+        """Servers whose breaker is ``open`` (pruned from routing)."""
+        return tuple(
+            server_id
+            for server_id, breaker in self.breakers.items()
+            if not breaker.allows_offloading
+        )
+
+    def record(
+        self, server_id: str, successes: int = 0, failures: int = 0
+    ) -> None:
+        """Count offload outcomes against ``server_id`` this window."""
+        self.breaker(server_id)
+        counts = self._counts.setdefault(server_id, [0, 0])
+        counts[0] += successes
+        counts[1] += failures
+
+    def close_window(self, window: int) -> Dict[str, str]:
+        """Feed every breaker this window's counts; returns the states.
+
+        Servers without outcomes this window still tick — an ``open``
+        breaker must count down its cooldown even while pruned, or it
+        could never probe again.
+        """
+        counts, self._counts = self._counts, {}
+        return {
+            server_id: self.breakers[server_id].record_window(
+                window, *counts.get(server_id, (0, 0))
+            )
+            for server_id in sorted(self.breakers)
+        }
 
 
 @dataclass

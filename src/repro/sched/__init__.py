@@ -24,6 +24,7 @@ from .transport import (
     NeverRespondsTransport,
     OffloadRequest,
     OffloadTransport,
+    RoutingTransport,
     StaircaseTransport,
 )
 from .uniprocessor import Uniprocessor
@@ -41,6 +42,7 @@ __all__ = [
     "FixedLatencyTransport",
     "DistributionTransport",
     "NeverRespondsTransport",
+    "RoutingTransport",
     "StaircaseTransport",
     "ExecutionTimeModel",
     "WcetModel",

@@ -4,14 +4,15 @@ The split-deadline scheduler hands completed setup sub-jobs to an
 :class:`OffloadTransport`, which eventually reports the server's result
 (or never does — the timing unreliable case the whole mechanism exists
 for).  The full server model lives in :mod:`repro.server`; this module
-defines the interface plus two small transports used by tests and
-ablations.
+defines the interface, small transports used by tests and ablations,
+and :class:`RoutingTransport`, which steers each task's requests to
+the server a multi-server decision routed it to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Mapping, Optional, Protocol
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "DistributionTransport",
     "StaircaseTransport",
     "NeverRespondsTransport",
+    "RoutingTransport",
 ]
 
 
@@ -200,3 +202,31 @@ class NeverRespondsTransport:
         self, request: OffloadRequest, on_result: Callable[[float], None]
     ) -> None:
         self.submitted += 1
+
+
+class RoutingTransport:
+    """Routes each request to its task's assigned server transport
+    (``routes`` is :attr:`repro.core.odm.OffloadingDecision.routes`)."""
+
+    def __init__(
+        self,
+        routes: Mapping[str, str],
+        transports: Mapping[str, OffloadTransport],
+    ) -> None:
+        unknown = set(routes.values()) - set(transports)
+        if unknown:
+            raise ValueError(
+                f"routes reference unknown servers: {sorted(unknown)}"
+            )
+        self.routes = dict(routes)
+        self.transports = dict(transports)
+
+    def submit(
+        self, request: OffloadRequest, on_result: Callable[[float], None]
+    ) -> None:
+        server_id = self.routes.get(request.task.task_id)
+        if server_id is None:
+            raise ValueError(
+                f"no route for task {request.task.task_id!r}"
+            )
+        self.transports[server_id].submit(request, on_result)

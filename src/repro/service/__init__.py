@@ -25,7 +25,7 @@ whatever the degradation rung — the service trades *benefit* under
 load, never the deadline guarantee.
 """
 
-from .audit import audit_response, measure_serial_baseline, percentile
+from .audit import audit_response, measure_serial_baseline
 from .batching import BatchPolicy, MicroBatcher
 from .degradation import DegradationLevel, DegradationPolicy
 from .loadgen import (
@@ -40,7 +40,6 @@ from .loadgen import (
 )
 from .protocol import (
     FLAG_MSGPACK,
-    HAVE_MSGPACK,
     HEADER,
     MAGIC,
     WIRE_VERSION,
@@ -60,7 +59,6 @@ from .request import (
 from .server import (
     ConnectionLost,
     ODMService,
-    ServerHealth,
     ServiceClient,
     TcpServerControl,
     serve_tcp,
@@ -82,13 +80,11 @@ __all__ = [
     "ShardSolver",
     "SolveJob",
     "ODMService",
-    "ServerHealth",
     "ConnectionLost",
     "TcpServerControl",
     "serve_tcp",
     "FrameError",
     "FLAG_MSGPACK",
-    "HAVE_MSGPACK",
     "HEADER",
     "MAGIC",
     "WIRE_VERSION",
@@ -103,7 +99,6 @@ __all__ = [
     "generate_open_loop",
     "audit_response",
     "measure_serial_baseline",
-    "percentile",
     "run_loadgen",
     "run_open_loop",
 ]

@@ -18,18 +18,17 @@ Theorem-3 re-check is written exactly once:
   vice versa), modulo the documented one-quantization-unit boundary.
 
 :func:`measure_serial_baseline` models the no-batching, no-cache serial
-server the latency percentiles are compared against, and
-:func:`percentile` is the linear-interpolated quantile used by every
-latency report.
+server the latency percentiles are compared against.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List, Sequence
+from typing import List
 
 from ..core.schedulability import OffloadAssignment, theorem3_test
 from ..knapsack import solve_dp_reference
+from ..observability.metrics import percentile  # noqa: F401 (re-export)
 from .request import (
     AdmissionRequest,
     AdmissionResponse,
@@ -39,7 +38,6 @@ from .request import (
 __all__ = [
     "audit_response",
     "measure_serial_baseline",
-    "percentile",
 ]
 
 
@@ -146,14 +144,3 @@ def measure_serial_baseline(
             latencies.append(elapsed)
     return latencies
 
-
-def percentile(values: Sequence[float], p: float) -> float:
-    """Linear-interpolated quantile of ``values``; 0.0 when empty."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = (p / 100.0) * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return ordered[lo] * (1 - frac) + ordered[hi] * frac

@@ -47,7 +47,8 @@ from ..core.task import TaskSet
 from ..faults.injectors import FaultSchedule
 from ..sim.rng import RandomStreams
 from ..workloads.generator import random_offloading_task_set
-from .audit import audit_response, measure_serial_baseline, percentile
+from ..observability.metrics import percentile
+from .audit import audit_response, measure_serial_baseline
 from .request import AdmissionRequest, AdmissionResponse
 from .server import ServiceClient
 

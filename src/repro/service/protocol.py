@@ -18,12 +18,10 @@ Frame layout (struct-packed, big-endian)::
   is validated, so a future v3 client fails loudly instead of being
   mis-parsed.  Legacy newline-JSON is retroactively "v1" — it has no
   header at all.
-* ``flags`` bit 0 (:data:`FLAG_MSGPACK`) selects the payload codec:
-  msgpack when set, compact JSON (no whitespace, UTF-8) when clear.
-  msgpack is an *optional* dependency: when the module is missing,
-  :data:`HAVE_MSGPACK` is False, encoding with ``codec="msgpack"``
-  raises, and a received msgpack frame produces a structured error —
-  never a crash.
+* ``flags`` bit 0 (:data:`FLAG_MSGPACK`) is reserved for a msgpack
+  payload codec this build does not speak: payloads are compact JSON
+  (no whitespace, UTF-8), and a received frame with the bit set
+  produces a structured error — never a crash.
 * ``length`` is the payload byte count.  Receivers enforce their own
   maximum and can skip an oversized frame *exactly* (the length is
   known), keeping the connection usable — unlike v1, where an
@@ -41,17 +39,8 @@ import json
 import struct
 from typing import Dict, Optional, Tuple
 
-try:  # optional accelerator; the wire format works without it
-    import msgpack  # type: ignore
-
-    HAVE_MSGPACK = True
-except ImportError:  # pragma: no cover - exercised where msgpack exists
-    msgpack = None  # type: ignore
-    HAVE_MSGPACK = False
-
 __all__ = [
     "FrameError",
-    "HAVE_MSGPACK",
     "HEADER",
     "FLAG_MSGPACK",
     "MAGIC",
@@ -60,7 +49,6 @@ __all__ = [
     "decode_header",
     "decode_payload",
     "encode_frame",
-    "encode_payload",
 ]
 
 MAGIC = b"OD"
@@ -75,52 +63,27 @@ class FrameError(ValueError):
     """A frame violated the wire format (bad magic/version/codec)."""
 
 
-def encode_payload(
-    record: Dict[str, object], codec: str = "json"
-) -> Tuple[int, bytes]:
-    """Serialize ``record`` → ``(flags, payload_bytes)``."""
-    if codec == "msgpack":
-        if not HAVE_MSGPACK:
-            raise FrameError(
-                "msgpack codec requested but msgpack is not installed"
-            )
-        return FLAG_MSGPACK, msgpack.packb(record, use_bin_type=True)
-    if codec != "json":
-        raise FrameError(f"unknown codec {codec!r}")
-    return 0, json.dumps(record, separators=(",", ":")).encode("utf-8")
-
-
 def decode_payload(flags: int, payload: bytes) -> Dict[str, object]:
     """Deserialize one frame payload according to its ``flags``."""
     if flags & FLAG_MSGPACK:
-        if not HAVE_MSGPACK:
-            raise FrameError(
-                "peer sent a msgpack payload but msgpack is not installed"
-            )
-        try:
-            record = msgpack.unpackb(payload, raw=False)
-        except Exception as exc:  # attacker-controlled bytes
-            raise FrameError(f"bad msgpack payload: {exc}") from exc
-    else:
-        try:
-            record = json.loads(payload)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # UnicodeDecodeError: json.loads decodes bytes itself, so
-            # non-UTF-8 payloads fail before JSON parsing even starts
-            raise FrameError(f"bad JSON payload: {exc}") from exc
+        raise FrameError(
+            "peer sent a msgpack payload; this build speaks JSON only"
+        )
+    try:
+        record = json.loads(payload)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # UnicodeDecodeError: json.loads decodes bytes itself, so
+        # non-UTF-8 payloads fail before JSON parsing even starts
+        raise FrameError(f"bad JSON payload: {exc}") from exc
     if not isinstance(record, dict):
         raise FrameError("frame payload must encode an object")
     return record
 
 
-def encode_frame(
-    record: Dict[str, object], codec: str = "json"
-) -> bytes:
-    """One complete v2 frame for ``record``."""
-    flags, payload = encode_payload(record, codec)
-    return (
-        HEADER.pack(MAGIC, WIRE_VERSION, flags, len(payload)) + payload
-    )
+def encode_frame(record: Dict[str, object]) -> bytes:
+    """One complete v2 frame for ``record`` (compact-JSON payload)."""
+    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
+    return HEADER.pack(MAGIC, WIRE_VERSION, 0, len(payload)) + payload
 
 
 def decode_header(header: bytes) -> Tuple[int, int, int]:

@@ -9,8 +9,8 @@ accuracy ratio: a server currently believed twice as slow doubles every
 candidate ``R_i`` (shrinking the Theorem 3 slack ``D_i − R_i``), a fast
 edge box shrinks them.
 
-The decision problem for one request is exactly the multi-server MCKP
-of :mod:`repro.core.multiserver`: one class per task whose items are
+The decision problem for one request is exactly the topology-form MCKP
+of :func:`repro.core.odm.build_mckp`: one class per task whose items are
 the local point plus, per *allowed* server, that server's scaled
 feasible benefit points.  :func:`build_request_instance` performs that
 reduction; the service's degradation ladder controls which servers are
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.benefit import BenefitFunction, BenefitPoint
-from ..core.multiserver import build_multiserver_mckp
+from ..core.odm import build_mckp
 from ..core.task import OffloadableTask, Task, TaskSet
 from ..knapsack import MCKPInstance
 
@@ -225,7 +225,7 @@ def build_request_instance(
         }
         for server_id, scale in allowed_servers.items()
     }
-    return build_multiserver_mckp(request.tasks, server_benefits)
+    return build_mckp(request.tasks, topology=server_benefits)
 
 
 @dataclass(frozen=True)

@@ -36,18 +36,17 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.schedulability import OffloadAssignment, theorem3_test
+from ..core.odm import offload_assignments, read_placements
+from ..core.schedulability import theorem3_test
 from ..core.task import OffloadableTask
 from ..knapsack import SolverCache
 from ..observability import Observability
 from ..parallel import SweepRunner
-from ..runtime.health import CircuitBreaker, HealthMonitor
+from ..runtime.health import BreakerBank
 from .aio import cancel_and_wait
 from .batching import BatchPolicy, MicroBatcher
 from .degradation import DegradationLevel, DegradationPolicy
 from .protocol import (
-    FLAG_MSGPACK,
-    HAVE_MSGPACK,
     HEADER,
     MAGIC,
     FrameError,
@@ -65,7 +64,6 @@ from .sharding import ShardSolver
 __all__ = [
     "ConnectionLost",
     "ODMService",
-    "ServerHealth",
     "ServiceClient",
     "TcpServerControl",
     "serve_tcp",
@@ -79,31 +77,6 @@ class ConnectionLost(ConnectionError):
     when the peer disappears — the fleet router turns this into an
     immediate failover instead of a hung await.
     """
-
-
-@dataclass
-class ServerHealth:
-    """Health-tracking state for one named server."""
-
-    monitor: HealthMonitor
-    breaker: CircuitBreaker
-    successes: int = 0
-    failures: int = 0
-
-    def record(self, ok: bool, time: float) -> None:
-        self.monitor.record(time, ok)
-        if ok:
-            self.successes += 1
-        else:
-            self.failures += 1
-
-    def close_window(self, window: int) -> str:
-        state = self.breaker.record_window(
-            window, successes=self.successes, failures=self.failures
-        )
-        self.successes = 0
-        self.failures = 0
-        return state
 
 
 @dataclass
@@ -135,10 +108,8 @@ class ODMService:
         its registry, events on its bus.
     breaker_kwargs:
         Constructor kwargs for the per-server
-        :class:`~repro.runtime.health.CircuitBreaker` instances.
-    health_window:
-        Sliding window (seconds of outcome time) of the per-server
-        :class:`~repro.runtime.health.HealthMonitor`.
+        :class:`~repro.runtime.health.CircuitBreaker` instances of
+        :attr:`health` (a :class:`~repro.runtime.health.BreakerBank`).
     replica_id:
         This service's identity in a fleet — stamped onto gossip
         beacons (:meth:`beacon`) and ignored for standalone use.
@@ -159,7 +130,6 @@ class ODMService:
         cache: "Optional[SolverCache | bool]" = True,
         observability: Optional[Observability] = None,
         breaker_kwargs: Optional[Dict[str, object]] = None,
-        health_window: float = 10.0,
         replica_id: str = "replica-0",
         dedup_capacity: int = 4096,
     ) -> None:
@@ -194,9 +164,7 @@ class ODMService:
             if observability is not None
             else Observability.disabled()
         )
-        self._breaker_kwargs = dict(breaker_kwargs or {})
-        self._health_window = health_window
-        self._servers: Dict[str, ServerHealth] = {}
+        self.health = BreakerBank(**(breaker_kwargs or {}))
         self._window_index = 0
         self._outcome_clock = 0.0
 
@@ -371,47 +339,36 @@ class ODMService:
     # ------------------------------------------------------------------
     # health / breaker surface
     # ------------------------------------------------------------------
-    def _health(self, server_id: str) -> ServerHealth:
-        health = self._servers.get(server_id)
-        if health is None:
-            health = ServerHealth(
-                monitor=HealthMonitor(window=self._health_window),
-                breaker=CircuitBreaker(**self._breaker_kwargs),
-            )
-            self._servers[server_id] = health
-        return health
-
     def breaker_state(self, server_id: str) -> str:
         """Current breaker state (``closed`` for unknown servers)."""
-        health = self._servers.get(server_id)
-        return health.breaker.state if health is not None else "closed"
+        return self.health.state(server_id)
 
     def record_outcome(
         self, server_id: str, ok: bool, time: Optional[float] = None
     ) -> None:
-        """Feed one offload outcome observed against ``server_id``."""
-        if time is None:
-            time = self._outcome_clock
-        self._outcome_clock = max(self._outcome_clock, time)
-        self._health(server_id).record(ok, time)
+        """Feed one offload outcome observed against ``server_id``;
+        ``time`` (outcome time) only advances the event clock."""
+        if time is not None:
+            self._outcome_clock = max(self._outcome_clock, time)
+        self.health.record(server_id, int(ok), int(not ok))
 
     def close_health_window(self) -> Dict[str, str]:
         """Advance every server's breaker one window; returns states."""
         bus = self.observability.bus
-        states: Dict[str, str] = {}
         window = self._window_index
         self._window_index += 1
-        for server_id in sorted(self._servers):
-            health = self._servers[server_id]
-            before = health.breaker.state
-            after = health.close_window(window)
-            states[server_id] = after
-            if bus.enabled and after != before:
+        before = {
+            server_id: breaker.state
+            for server_id, breaker in self.health.breakers.items()
+        }
+        states = self.health.close_window(window)
+        for server_id, after in states.items():
+            if bus.enabled and after != before[server_id]:
                 bus.emit(
                     "breaker.state",
                     self._outcome_clock,
                     window=window,
-                    old=before,
+                    old=before[server_id],
                     new=after,
                     server=server_id,
                 )
@@ -441,8 +398,8 @@ class ODMService:
             "queue_capacity": self.batch_policy.queue_capacity,
             "level": self._level.label,
             "breakers": {
-                server_id: health.breaker.state
-                for server_id, health in sorted(self._servers.items())
+                server_id: breaker.state
+                for server_id, breaker in sorted(self.health.breakers.items())
             },
             "shed": self.observability.metrics.value("service.shed"),
         }
@@ -465,13 +422,14 @@ class ODMService:
         bus = self.observability.bus
         self._m_gossip.inc()
         for server_id, state in sorted(breakers.items()):
+            server_id = str(server_id)
             if state not in ("open", "closed"):
                 continue
-            if state == "closed" and str(server_id) not in self._servers:
+            if state == "closed" and server_id not in self.health.breakers:
                 continue  # no local breaker to reclose; don't create one
-            health = self._health(str(server_id))
-            before = health.breaker.state
-            after = health.breaker.apply_remote(
+            breaker = self.health.breaker(server_id)
+            before = breaker.state
+            after = breaker.apply_remote(
                 str(state), window=self._window_index
             )
             if bus.enabled and after != before:
@@ -481,7 +439,7 @@ class ODMService:
                     window=self._window_index,
                     old=before,
                     new=after,
-                    server=str(server_id),
+                    server=server_id,
                     source=f"gossip:{origin}",
                 )
 
@@ -585,7 +543,7 @@ class ODMService:
                     for server_id, scale in sorted(
                         pending.request.server_estimates.items()
                     )
-                    if self._health(server_id).breaker.allows_offloading
+                    if self.health.breaker(server_id).allows_offloading
                 }
             alloweds.append(allowed)
             if not allowed:
@@ -694,16 +652,10 @@ class ODMService:
                 solver=solver_name,
                 allowed_servers=allowed,
             )
-        placements: Dict[str, Tuple[Optional[str], float]] = {}
-        for cls in instance.classes:
-            server_id, r = selection.item_for(cls.class_id).tag
-            placements[cls.class_id] = (server_id, float(r))
-        assignments = [
-            OffloadAssignment(tid, r)
-            for tid, (_server, r) in placements.items()
-            if r > 0
-        ]
-        check = theorem3_test(pending.request.tasks, assignments)
+        placements = read_placements(instance, selection)
+        check = theorem3_test(
+            pending.request.tasks, offload_assignments(placements)
+        )
         if not check.feasible:
             # Cannot happen while MCKP weights and Theorem 3 agree; if
             # they ever diverge the safe answer is rejection, never an
@@ -817,12 +769,12 @@ class ODMService:
             ),
             "parallel_mode": self.runner.last_mode,
             "breakers": {
-                server_id: health.breaker.state
-                for server_id, health in sorted(self._servers.items())
+                server_id: breaker.state
+                for server_id, breaker in sorted(self.health.breakers.items())
             },
             "breaker_remote_trips": {
-                server_id: health.breaker.remote_trips
-                for server_id, health in sorted(self._servers.items())
+                server_id: breaker.remote_trips
+                for server_id, breaker in sorted(self.health.breakers.items())
             },
         }
         if self.cache is not None:
@@ -900,8 +852,8 @@ async def serve_tcp(
 
     One port, two framings, negotiated per message by the first byte:
     a :data:`~repro.service.protocol.MAGIC` byte opens a v2
-    length-prefixed binary frame (struct header + compact-JSON or
-    msgpack payload, see :mod:`repro.service.protocol`); anything else
+    length-prefixed binary frame (struct header + compact-JSON payload,
+    see :mod:`repro.service.protocol`); anything else
     is a legacy v1 newline-delimited JSON line (no JSON text starts
     with ``O``, so the dispatch is unambiguous).  Replies always use
     the framing of the request they answer, so legacy clients keep
@@ -950,19 +902,12 @@ async def serve_tcp(
             """Send one record framed like the request it answers.
 
             ``mode`` is ``None`` for v1 (JSON line) or the v2 frame's
-            flag byte; the msgpack bit is honoured only when msgpack is
-            actually importable here (a JSON reply to a msgpack frame
-            is still a valid v2 frame — flags say so).
+            flag byte; every v2 reply is a compact-JSON frame.
             """
             if mode is None:
                 data = json.dumps(payload).encode("utf-8") + b"\n"
             else:
-                codec = (
-                    "msgpack"
-                    if (mode & FLAG_MSGPACK) and HAVE_MSGPACK
-                    else "json"
-                )
-                data = encode_frame(payload, codec=codec)
+                data = encode_frame(payload)
             async with lock:
                 writer.write(data)
                 await writer.drain()
@@ -1220,9 +1165,7 @@ class ServiceClient:
     """Async client for :func:`serve_tcp` — v2 binary by default.
 
     ``protocol="binary"`` (default) speaks the length-prefixed v2
-    framing of :mod:`repro.service.protocol` (``codec="msgpack"``
-    selects the msgpack payload codec when that library is installed;
-    the default compact JSON needs nothing).  ``protocol="json"``
+    framing of :mod:`repro.service.protocol`.  ``protocol="json"``
     reproduces the legacy v1 newline-JSON client byte-for-byte — the
     regression pin in the protocol tests drives this mode against a
     current server.  Replies are sniffed per message, so either client
@@ -1250,26 +1193,15 @@ class ServiceClient:
         port: int = 7741,
         default_timeout: Optional[float] = None,
         protocol: str = "binary",
-        codec: str = "json",
     ) -> None:
         if protocol not in ("binary", "json"):
             raise ValueError(
                 f"protocol must be 'binary' or 'json', got {protocol!r}"
             )
-        if codec not in ("json", "msgpack"):
-            raise ValueError(
-                f"codec must be 'json' or 'msgpack', got {codec!r}"
-            )
-        if codec == "msgpack" and not HAVE_MSGPACK:
-            raise ValueError(
-                "codec='msgpack' requires the msgpack package, "
-                "which is not installed"
-            )
         self.host = host
         self.port = port
         self.default_timeout = default_timeout
         self.protocol = protocol
-        self.codec = codec
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
@@ -1413,7 +1345,7 @@ class ServiceClient:
         if self._writer is None:
             raise ConnectionLost("client is not connected")
         if self.protocol == "binary":
-            data = encode_frame(payload, codec=self.codec)
+            data = encode_frame(payload)
         else:
             data = json.dumps(payload).encode("utf-8") + b"\n"
         try:

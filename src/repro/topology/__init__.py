@@ -6,8 +6,8 @@ heterogeneous :class:`ServerNode`\\ s (per-node compute speed, link
 profile, optional §3 guarantee) is measured per server through
 :mod:`repro.estimator`, expanded into server×level choice groups by
 :func:`repro.core.odm.build_mckp`'s topology mode, and decided/degraded
-by :class:`TopologyDecisionManager` with one circuit breaker per
-server.
+by :class:`~repro.core.odm.OffloadingDecisionManager` with one circuit
+breaker per server.
 """
 
 from .estimation import (
@@ -23,7 +23,6 @@ from .model import (
     Topology,
     make_topology,
 )
-from .routing import RoutedDecision, TopologyDecisionManager
 
 __all__ = [
     "LinkProfile",
@@ -35,6 +34,4 @@ __all__ = [
     "sample_response_times",
     "estimate_server_benefit",
     "estimate_topology_benefits",
-    "RoutedDecision",
-    "TopologyDecisionManager",
 ]

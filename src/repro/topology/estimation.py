@@ -119,7 +119,7 @@ def estimate_topology_benefits(
 
     Returns ``(server_benefits, server_bounds)`` ready for
     :func:`repro.core.odm.build_mckp` topology mode /
-    :class:`repro.topology.routing.TopologyDecisionManager`.  Each
+    :meth:`repro.core.odm.OffloadingDecisionManager.decide`.  Each
     (server, task) pair draws from its own named stream, so adding a
     server or a task never perturbs the samples of the others — the
     same stream-independence discipline the simulator uses.

@@ -1,16 +1,13 @@
-"""Tests for the multi-server offloading extension."""
+"""Tests for multi-server decisions: the topology-form MCKP and the
+one decision manager routing across several servers."""
 
 import pytest
 
 from repro.core.benefit import BenefitFunction, BenefitPoint
-from repro.core.multiserver import (
-    MultiServerDecisionManager,
-    RoutingTransport,
-    build_multiserver_mckp,
-)
+from repro.core.odm import OffloadingDecisionManager, build_mckp
 from repro.core.task import OffloadableTask, Task, TaskSet
 from repro.sched.offload_scheduler import OffloadingScheduler
-from repro.sched.transport import FixedLatencyTransport
+from repro.sched.transport import FixedLatencyTransport, RoutingTransport
 from repro.sim.engine import Simulator
 
 
@@ -42,7 +39,7 @@ def _benefits(fast_value=8.0, slow_value=5.0):
 class TestBuildMckp:
     def test_items_span_servers(self):
         tasks = TaskSet([_task()])
-        instance = build_multiserver_mckp(tasks, _benefits())
+        instance = build_mckp(tasks, topology=_benefits())
         cls = instance.class_by_id("m")
         tags = {item.tag for item in cls.items}
         assert (None, 0.0) in tags
@@ -52,18 +49,18 @@ class TestBuildMckp:
     def test_task_absent_from_server_not_offered(self):
         tasks = TaskSet([_task(), _task("other")])
         benefits = _benefits()
-        instance = build_multiserver_mckp(tasks, benefits)
+        instance = build_mckp(tasks, topology=benefits)
         other = instance.class_by_id("other")
         assert len(other.items) == 1  # local only
 
     def test_plain_tasks_stay_local_only(self):
         tasks = TaskSet([Task("p", 0.1, 1.0)])
-        instance = build_multiserver_mckp(tasks, {})
+        instance = build_mckp(tasks, topology={})
         assert len(instance.class_by_id("p").items) == 1
 
     def test_infeasible_points_filtered(self):
         tasks = TaskSet([_task(period=0.3)])  # D=0.3 < cloud's r=0.4
-        instance = build_multiserver_mckp(tasks, _benefits())
+        instance = build_mckp(tasks, topology=_benefits())
         tags = {item.tag for item in instance.class_by_id("m").items}
         assert ("cloud", 0.4) not in tags
 
@@ -72,7 +69,7 @@ class TestDecision:
     def test_prefers_better_server(self):
         """Edge offers more value at lower weight — must win."""
         tasks = TaskSet([_task()])
-        decision = MultiServerDecisionManager("dp").decide(
+        decision = OffloadingDecisionManager("dp").decide(
             tasks, _benefits(fast_value=8.0, slow_value=5.0)
         )
         assert decision.server_of("m") == "edge"
@@ -81,7 +78,7 @@ class TestDecision:
 
     def test_picks_slow_server_when_it_pays(self):
         tasks = TaskSet([_task()])
-        decision = MultiServerDecisionManager("dp").decide(
+        decision = OffloadingDecisionManager("dp").decide(
             tasks, _benefits(fast_value=3.0, slow_value=9.0)
         )
         assert decision.server_of("m") == "cloud"
@@ -90,7 +87,7 @@ class TestDecision:
         # a heavy local task eats the budget (offloading "m" at any
         # server point costs more than its 0.2 local utilization)
         tasks = TaskSet([_task(), Task("hog", 0.78, 1.0)])
-        decision = MultiServerDecisionManager("dp").decide(
+        decision = OffloadingDecisionManager("dp").decide(
             tasks, _benefits()
         )
         assert decision.server_of("m") is None
@@ -98,46 +95,14 @@ class TestDecision:
 
     def test_feasibility_verified(self):
         tasks = TaskSet([_task()])
-        decision = MultiServerDecisionManager("dp").decide(
+        decision = OffloadingDecisionManager("dp").decide(
             tasks, _benefits()
         )
         assert decision.schedulability.feasible
 
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
-            MultiServerDecisionManager("nope")
-
-
-class TestRoutingTransport:
-    def test_routes_to_assigned_server(self, sim):
-        fast = FixedLatencyTransport(sim, latency=0.01)
-        slow = FixedLatencyTransport(sim, latency=0.5)
-        routing = RoutingTransport(
-            routes={"m": "edge"},
-            transports={"edge": fast, "cloud": slow},
-        )
-        tasks = TaskSet([_task()])
-        scheduler = OffloadingScheduler(
-            sim, tasks, response_times={"m": 0.1}, transport=routing,
-        )
-        trace = scheduler.run(2.5)
-        assert fast.submitted > 0
-        assert slow.submitted == 0
-        assert trace.all_deadlines_met
-
-    def test_unknown_server_in_routes_rejected(self):
-        with pytest.raises(ValueError, match="unknown servers"):
-            RoutingTransport(routes={"m": "mars"}, transports={})
-
-    def test_unrouted_task_rejected_at_submit(self, sim):
-        routing = RoutingTransport(routes={}, transports={})
-        tasks = TaskSet([_task()])
-        scheduler = OffloadingScheduler(
-            sim, tasks, response_times={"m": 0.1}, transport=routing,
-        )
-        scheduler.start(1.0)
-        with pytest.raises(ValueError, match="no route"):
-            sim.run_until(1.0)
+            OffloadingDecisionManager("nope")
 
 
 class TestEndToEnd:
@@ -162,7 +127,7 @@ class TestEndToEnd:
                 ),
             },
         }
-        decision = MultiServerDecisionManager("dp").decide(tasks, benefits)
+        decision = OffloadingDecisionManager("dp").decide(tasks, benefits)
         transports = {
             "edge": FixedLatencyTransport(sim, latency=0.05),
             "cloud": FixedLatencyTransport(sim, latency=0.2),

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.benefit import BenefitFunction, BenefitPoint
-from repro.core.odm import OffloadingDecisionManager, build_mckp
+from repro.core.odm import (
+    DEFAULT_SERVER,
+    OffloadingDecisionManager,
+    build_mckp,
+)
 from repro.core.schedulability import theorem3_test
 from repro.core.task import OffloadableTask, Task, TaskSet
+from repro.runtime.health import local_only_tasks
 from repro.workloads.generator import paper_simulation_task_set
 
 
@@ -138,6 +143,33 @@ class TestDecisionManager:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown solver"):
             OffloadingDecisionManager("nope")
+
+    def test_single_server_is_the_one_node_topology(self, small_task_set):
+        decision = OffloadingDecisionManager("dp").decide(small_task_set)
+        assert decision.placements == {
+            "off1": (DEFAULT_SERVER, pytest.approx(0.30)),
+            "loc1": (None, 0.0),
+        }
+        assert decision.routes == {"off1": DEFAULT_SERVER}
+        assert decision.pruned_servers == ()
+
+    def test_open_breaker_is_the_local_only_reduction(self):
+        tasks = paper_simulation_task_set(
+            np.random.default_rng(3), num_tasks=12
+        )
+        manager = OffloadingDecisionManager("dp")
+        breaker = manager.health.breaker(DEFAULT_SERVER)
+        breaker.record_window(0, successes=0, failures=breaker.min_samples)
+        degraded = manager.decide(tasks)
+        local = OffloadingDecisionManager("dp").decide(
+            local_only_tasks(tasks)
+        )
+        assert degraded.pruned_servers == (DEFAULT_SERVER,)
+        assert degraded.degraded
+        assert degraded.placements == local.placements
+        assert all(r == 0.0 for r in degraded.response_times.values())
+        assert degraded.expected_benefit == local.expected_benefit
+        assert degraded.total_demand_rate == local.total_demand_rate
 
     def test_custom_callable_solver(self, small_task_set):
         from repro.knapsack import solve_heu_oe

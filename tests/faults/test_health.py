@@ -3,6 +3,7 @@
 import pytest
 
 from repro.runtime.health import (
+    BreakerBank,
     CircuitBreaker,
     HealthMonitor,
     ResilientOffloadingSystem,
@@ -222,6 +223,36 @@ class TestCircuitBreakerApplyRemote:
     def test_unknown_remote_state_rejected(self):
         with pytest.raises(ValueError, match="remote breaker state"):
             CircuitBreaker().apply_remote("exploded")
+
+
+class TestBreakerBank:
+    def test_breakers_created_on_first_use_with_kwargs(self):
+        bank = BreakerBank(min_samples=1, cooldown_windows=2)
+        assert bank.breakers == {}
+        assert bank.state("gpu") == "closed"
+        assert bank.breakers == {}  # reading a state creates nothing
+        breaker = bank.breaker("gpu")
+        assert breaker.min_samples == 1 and breaker.cooldown_windows == 2
+        assert bank.breaker("gpu") is breaker
+
+    def test_window_counts_reach_the_breaker_then_reset(self):
+        bank = BreakerBank()
+        bank.record("gpu", successes=1, failures=2)
+        bank.record("gpu", failures=1)
+        assert bank.close_window(0) == {"gpu": "open"}
+        assert bank.open_servers == ("gpu",)
+        # the counts were consumed: a silent window only cools down
+        assert bank.close_window(1) == {"gpu": "half_open"}
+        assert bank.open_servers == ()
+
+    def test_silent_servers_still_tick(self):
+        bank = BreakerBank()
+        bank.record("edge", failures=3)
+        bank.record("cloud", successes=3)
+        assert bank.close_window(0) == {"cloud": "closed", "edge": "open"}
+        assert bank.close_window(1) == {
+            "cloud": "closed", "edge": "half_open"
+        }
 
 
 class TestResilientOffloadingSystem:

@@ -16,6 +16,7 @@ from repro.observability import (
     Profiler,
     TraceBus,
     get_profiler,
+    percentile,
     probe,
     profile_calls,
     profiled,
@@ -118,6 +119,39 @@ class TestMetrics:
             hist.observe(float("nan"))
         with pytest.raises(ValueError):
             hist.percentile(50)
+
+    @pytest.mark.parametrize(
+        "values, p, expected",
+        [
+            ([7.0], 0, 7.0),
+            ([7.0], 99, 7.0),
+            ([5.0, 1.0, 4.0, 2.0, 3.0], 50, 3.0),    # integral rank 2
+            ([5.0, 1.0, 4.0, 2.0, 3.0], 25, 2.0),    # integral rank 1
+            ([1.0, 2.0, 3.0, 4.0], 50, 2.5),         # rank 1.5
+            ([20.0, 0.0, 10.0], 99, 19.8),           # rank 1.98
+            ([3.0, 1.0, 2.0], 100, 3.0),
+        ],
+    )
+    def test_percentile_pins(self, values, p, expected):
+        assert percentile(values, p) == expected
+        hist = Histogram()
+        for v in values:
+            hist.observe(v)
+        assert hist.percentile(p) == expected
+
+    def test_percentile_empty_and_range(self):
+        # reports print 0.0 for an empty sample; a histogram raises
+        assert percentile([], 50) == 0.0
+        with pytest.raises(ValueError, match="empty"):
+            Histogram().percentile(50)
+        for p in (-1, 101):
+            with pytest.raises(ValueError):
+                percentile([1.0], p)
+
+    def test_percentile_leaves_input_untouched(self):
+        values = [3.0, 1.0, 2.0]
+        assert percentile(values, 50) == 2.0
+        assert values == [3.0, 1.0, 2.0]
 
     def test_registry_type_checks_names(self):
         reg = MetricsRegistry()

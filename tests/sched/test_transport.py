@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.benefit import BenefitFunction, BenefitPoint
-from repro.core.task import OffloadableTask
+from repro.core.task import OffloadableTask, TaskSet
+from repro.sched.offload_scheduler import OffloadingScheduler
 from repro.sched.transport import (
     DistributionTransport,
     FixedLatencyTransport,
     NeverRespondsTransport,
     OffloadRequest,
+    RoutingTransport,
 )
 from repro.sim.engine import Simulator
 
@@ -84,3 +86,43 @@ class TestNeverResponds:
         sim.run_until(100.0)
         assert arrivals == []
         assert transport.submitted == 1
+
+
+def _routed_task():
+    return OffloadableTask(
+        task_id="m", wcet=0.2, period=1.0,
+        setup_time=0.02, compensation_time=0.2,
+        benefit=BenefitFunction([BenefitPoint(0.0, 1.0)]),
+    )
+
+
+class TestRoutingTransport:
+    def test_routes_to_assigned_server(self, sim):
+        fast = FixedLatencyTransport(sim, latency=0.01)
+        slow = FixedLatencyTransport(sim, latency=0.5)
+        routing = RoutingTransport(
+            routes={"m": "edge"},
+            transports={"edge": fast, "cloud": slow},
+        )
+        tasks = TaskSet([_routed_task()])
+        scheduler = OffloadingScheduler(
+            sim, tasks, response_times={"m": 0.1}, transport=routing,
+        )
+        trace = scheduler.run(2.5)
+        assert fast.submitted > 0
+        assert slow.submitted == 0
+        assert trace.all_deadlines_met
+
+    def test_unknown_server_in_routes_rejected(self):
+        with pytest.raises(ValueError, match="unknown servers"):
+            RoutingTransport(routes={"m": "mars"}, transports={})
+
+    def test_unrouted_task_rejected_at_submit(self, sim):
+        routing = RoutingTransport(routes={}, transports={})
+        tasks = TaskSet([_routed_task()])
+        scheduler = OffloadingScheduler(
+            sim, tasks, response_times={"m": 0.1}, transport=routing,
+        )
+        scheduler.start(1.0)
+        with pytest.raises(ValueError, match="no route"):
+            sim.run_until(1.0)

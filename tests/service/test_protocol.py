@@ -18,7 +18,6 @@ import pytest
 from repro.observability import Observability
 from repro.service import (
     FLAG_MSGPACK,
-    HAVE_MSGPACK,
     HEADER,
     MAGIC,
     WIRE_VERSION,
@@ -497,9 +496,6 @@ class TestAdversarialFrames:
         assert replies[0]["op"] == "error"
         assert replies[1]["op"] == "stats"
 
-    @pytest.mark.skipif(
-        HAVE_MSGPACK, reason="msgpack installed: flag is honoured"
-    )
     def test_msgpack_flag_without_msgpack_is_a_structured_error(self):
         frame = HEADER.pack(MAGIC, WIRE_VERSION, FLAG_MSGPACK, 2) + b"{}"
         replies, _, _ = self.run_raw(frame + GOLDEN_V2_STATS, reads=2)

@@ -3,6 +3,7 @@ forced degradation, breaker-driven routing, clean shutdown."""
 
 import asyncio
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,3 +263,24 @@ def test_infeasible_set_is_rejected_not_errored():
 
     run_report = response.to_dict()
     assert run_report["status"] == "rejected"
+
+
+def test_outcome_memory_does_not_grow_with_outcomes():
+    """Per-server health keeps this window's two counts, not a history
+    of outcomes — also for ``outcome`` ops without ``time``, which
+    never advance the outcome clock."""
+    service = small_service()
+    for _ in range(1_000):
+        service.record_outcome("gpu", True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(100_000):
+            service.record_outcome("gpu", i % 4 != 0)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4_096, f"{grown} bytes retained by 100k outcomes"
+    # a 25% failure rate stays under the default trip threshold
+    assert service.close_health_window() == {"gpu": "closed"}
+    assert service.close_health_window() == {"gpu": "closed"}

@@ -13,7 +13,7 @@ import pytest
 from repro.core.benefit import BenefitFunction, BenefitPoint
 from repro.core.task import OffloadableTask, TaskSet
 from repro.knapsack import SolverCache
-from repro.topology import TopologyDecisionManager
+from repro.core.odm import OffloadingDecisionManager
 
 
 def _task(task_id, wcet=0.15, period=1.0):
@@ -57,9 +57,17 @@ def benefits():
     }
 
 
+def _window(manager, window, outcomes):
+    """Close one health window after counting per-server
+    ``(successes, failures)`` outcomes; returns the breaker states."""
+    for server_id, (successes, failures) in outcomes.items():
+        manager.health.record(server_id, successes, failures)
+    return manager.health.close_window(window)
+
+
 def _trip(manager, server_id):
-    breaker = manager.breaker(server_id)
-    manager.record_window(0, {server_id: (0, breaker.min_samples)})
+    breaker = manager.health.breaker(server_id)
+    _window(manager, 0, {server_id: (0, breaker.min_samples)})
     assert breaker.state == "open"
 
 
@@ -67,7 +75,7 @@ class TestKill:
     def test_killing_a_server_reroutes_and_never_gains(
         self, tasks, benefits
     ):
-        manager = TopologyDecisionManager("dp", resolution=1_000)
+        manager = OffloadingDecisionManager("dp", resolution=1_000)
         baseline = manager.decide(tasks, benefits)
         assert baseline.server_of("a") == "edge"
         assert not baseline.degraded
@@ -92,7 +100,7 @@ class TestKill:
     def test_task_of_a_dead_only_server_goes_local(
         self, tasks, benefits
     ):
-        manager = TopologyDecisionManager("dp", resolution=1_000)
+        manager = OffloadingDecisionManager("dp", resolution=1_000)
         baseline = manager.decide(tasks, benefits)
         assert baseline.server_of("c") == "cloud"
 
@@ -105,13 +113,11 @@ class TestKill:
     def test_all_servers_dead_is_the_local_only_reduction(
         self, tasks, benefits
     ):
-        manager = TopologyDecisionManager("dp", resolution=1_000)
+        manager = OffloadingDecisionManager("dp", resolution=1_000)
         # one window that fails both servers at once (tripping them in
         # separate windows would tick the first breaker's cooldown)
-        n = manager.breaker("edge").min_samples
-        states = manager.record_window(
-            0, {"edge": (0, n), "cloud": (0, n)}
-        )
+        n = manager.health.breaker("edge").min_samples
+        states = _window(manager, 0, {"edge": (0, n), "cloud": (0, n)})
         assert states == {"edge": "open", "cloud": "open"}
         decision = manager.decide(tasks, benefits)
         assert set(decision.pruned_servers) == {"edge", "cloud"}
@@ -128,21 +134,21 @@ class TestRecovery:
     def test_recovery_restores_the_decision_bit_for_bit(
         self, tasks, benefits
     ):
-        manager = TopologyDecisionManager(
+        manager = OffloadingDecisionManager(
             "dp", cache=SolverCache(), resolution=1_000
         )
         baseline = manager.decide(tasks, benefits)
-        breaker = manager.breaker("edge")
+        breaker = manager.health.breaker("edge")
         _trip(manager, "edge")
         degraded = manager.decide(tasks, benefits)
         assert degraded.placements != baseline.placements
 
         # open -> half_open after the cooldown window, then a clean
         # probe window closes the breaker again
-        manager.record_window(1, {})
+        _window(manager, 1, {})
         assert breaker.state == "half_open"
-        assert "edge" not in manager.open_servers
-        manager.record_window(2, {"edge": (breaker.min_samples, 0)})
+        assert "edge" not in manager.health.open_servers
+        _window(manager, 2, {"edge": (breaker.min_samples, 0)})
         assert breaker.state == "closed"
 
         hits_before = manager.cache.hits
@@ -160,23 +166,24 @@ class TestRecovery:
         assert manager.cache.hits > hits_before
 
     def test_half_open_probe_is_not_pruned(self, tasks, benefits):
-        manager = TopologyDecisionManager("dp", resolution=1_000)
+        manager = OffloadingDecisionManager("dp", resolution=1_000)
         _trip(manager, "edge")
-        manager.record_window(1, {})
+        _window(manager, 1, {})
         decision = manager.decide(tasks, benefits)
         # half_open allows probing: edge routes again
         assert decision.pruned_servers == ()
         assert decision.server_of("a") == "edge"
 
     def test_record_window_reports_states(self, tasks, benefits):
-        manager = TopologyDecisionManager("dp")
-        breaker = manager.breaker("edge")
-        states = manager.record_window(
+        manager = OffloadingDecisionManager("dp")
+        breaker = manager.health.breaker("edge")
+        states = _window(
+            manager,
             0,
             {"edge": (0, breaker.min_samples), "cloud": (3, 0)},
         )
         assert states == {"edge": "open", "cloud": "closed"}
-        assert manager.open_servers == ("edge",)
+        assert manager.health.open_servers == ("edge",)
         # absent servers still tick: the open breaker cools down
-        states = manager.record_window(1, {})
+        states = _window(manager, 1, {})
         assert states["edge"] == "half_open"

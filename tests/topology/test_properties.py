@@ -20,10 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.benefit import BenefitFunction, BenefitPoint
-from repro.core.odm import build_mckp
+from repro.core.odm import _routed_demand_rate, build_mckp
 from repro.core.task import OffloadableTask, TaskSet
 from repro.knapsack import canonical_instance_key, solve_dp
-from repro.topology.routing import _routed_demand_rate
 
 RESOLUTION = 1_000
 #: Candidate offload response times (deadline = 1.0 in the strategy).

@@ -19,7 +19,11 @@ import random
 import pytest
 
 from repro.core.benefit import BenefitFunction, BenefitPoint
-from repro.core.odm import build_mckp
+from repro.core.odm import (
+    DEFAULT_SERVER,
+    OffloadingDecisionManager,
+    build_mckp,
+)
 from repro.core.task import OffloadableTask, Task, TaskSet
 from repro.knapsack import (
     canonical_instance_key,
@@ -161,8 +165,12 @@ def test_routed_dp_matches_brute_force_and_reference(seed):
 @pytest.mark.parametrize("seed", range(NUM_SEEDS))
 def test_single_server_topology_is_bit_identical_to_plain(seed):
     """One server whose functions equal the tasks' own: same canonical
-    fingerprint as the plain reduction, identical DP selection."""
+    fingerprint as the plain reduction, identical DP selection — and the
+    decision manager's plain ``decide(tasks)`` (the one-node case of
+    its single pipeline) equals ``solve_dp(build_mckp(tasks))`` in
+    selection, value and weight."""
     rng = random.Random(1000 + seed)
+    manager = OffloadingDecisionManager("dp", resolution=RESOLUTION)
     for case in range(INSTANCES_PER_SEED):
         tasks = TaskSet(
             [_random_task(rng, i) for i in range(rng.randint(2, 4))]
@@ -184,6 +192,8 @@ def test_single_server_topology_is_bit_identical_to_plain(seed):
         dp_plain = solve_dp(plain, resolution=RESOLUTION)
         if dp_plain is None:
             assert dp_topo is None, label
+            with pytest.raises(ValueError):
+                manager.decide(tasks)
             continue
         assert dp_topo is not None, label
         # bit-identical, not approximately equal: the DP ran the same
@@ -199,6 +209,23 @@ def test_single_server_topology_is_bit_identical_to_plain(seed):
                 assert topo_tag == (None, 0.0), label
             else:
                 assert topo_tag == ("only", plain_tag), label
+
+        if tasks.total_utilization > 1.0 + 1e-9:
+            # the manager presupposes a feasible all-local baseline
+            with pytest.raises(ValueError, match="exceeds 1"):
+                manager.decide(tasks)
+            continue
+        decision = manager.decide(tasks)
+        assert decision.placements == {
+            cls.class_id: (
+                (None, 0.0)
+                if dp_plain.item_for(cls.class_id).tag == 0.0
+                else (DEFAULT_SERVER, dp_plain.item_for(cls.class_id).tag)
+            )
+            for cls in plain.classes
+        }, label
+        assert decision.expected_benefit == dp_plain.total_value, label
+        assert decision.total_demand_rate == dp_plain.total_weight, label
 
 
 def test_differential_corpus_size():

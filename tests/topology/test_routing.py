@@ -1,12 +1,12 @@
-"""Unit tests for :class:`TopologyDecisionManager` and routed decisions."""
+"""Unit tests for routed decisions of the one decision manager."""
 
 import pytest
 
 from repro.core.benefit import BenefitFunction, BenefitPoint
+from repro.core.odm import OffloadingDecision, OffloadingDecisionManager
 from repro.core.task import OffloadableTask, Task, TaskSet
 from repro.knapsack import SolverCache
-from repro.runtime.health import CircuitBreaker
-from repro.topology import RoutedDecision, TopologyDecisionManager
+from repro.runtime.health import BreakerBank
 
 
 def _task(task_id="m", wcet=0.2, period=1.0, **kwargs):
@@ -29,6 +29,14 @@ def _fn(pairs, local=1.0):
     )
 
 
+def _window(manager, window, outcomes):
+    """Close one health window after counting per-server
+    ``(successes, failures)`` outcomes; returns the breaker states."""
+    for server_id, (successes, failures) in outcomes.items():
+        manager.health.record(server_id, successes, failures)
+    return manager.health.close_window(window)
+
+
 def _benefits():
     return {
         "edge": {"m": _fn([(0.1, 8.0)])},
@@ -39,30 +47,28 @@ def _benefits():
 class TestConstruction:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError, match="unknown solver"):
-            TopologyDecisionManager("nope")
+            OffloadingDecisionManager("nope")
 
     def test_cache_spellings(self):
-        assert TopologyDecisionManager("dp").cache is None
-        assert TopologyDecisionManager("dp", cache=False).cache is None
+        assert OffloadingDecisionManager("dp").cache is None
+        assert OffloadingDecisionManager("dp", cache=False).cache is None
         assert isinstance(
-            TopologyDecisionManager("dp", cache=True).cache, SolverCache
+            OffloadingDecisionManager("dp", cache=True).cache, SolverCache
         )
         # an explicitly passed (empty, hence falsy) cache is used as-is
         cache = SolverCache()
-        assert TopologyDecisionManager("dp", cache=cache).cache is cache
+        assert OffloadingDecisionManager("dp", cache=cache).cache is cache
 
-    def test_breaker_factory_honoured(self):
-        manager = TopologyDecisionManager(
-            "dp",
-            breaker_factory=lambda: CircuitBreaker(min_samples=1),
-        )
-        assert manager.breaker("s").min_samples == 1
+    def test_breaker_kwargs_honoured(self):
+        manager = OffloadingDecisionManager("dp")
+        manager.health = BreakerBank(min_samples=1)
+        assert manager.health.breaker("s").min_samples == 1
         # created once, then reused
-        assert manager.breaker("s") is manager.breaker("s")
+        assert manager.health.breaker("s") is manager.health.breaker("s")
 
     def test_cache_stats(self):
-        assert TopologyDecisionManager("dp").cache_stats() is None
-        manager = TopologyDecisionManager(
+        assert OffloadingDecisionManager("dp").cache_stats() is None
+        manager = OffloadingDecisionManager(
             "dp", cache=True, resolution=500
         )
         manager.decide(TaskSet([_task()]), _benefits())
@@ -77,10 +83,10 @@ class TestConstruction:
 
 class TestDecide:
     def test_routes_to_the_best_server(self):
-        decision = TopologyDecisionManager(
+        decision = OffloadingDecisionManager(
             "dp", resolution=1_000
         ).decide(TaskSet([_task()]), _benefits())
-        assert isinstance(decision, RoutedDecision)
+        assert isinstance(decision, OffloadingDecision)
         assert decision.server_of("m") == "edge"
         assert decision.response_times["m"] == pytest.approx(0.1)
         assert decision.routes == {"m": "edge"}
@@ -90,7 +96,7 @@ class TestDecide:
 
     def test_plain_tasks_stay_local(self):
         tasks = TaskSet([_task(), Task("plain", 0.1, 1.0)])
-        decision = TopologyDecisionManager(
+        decision = OffloadingDecisionManager(
             "dp", resolution=1_000
         ).decide(tasks, _benefits())
         assert decision.placements["plain"] == (None, 0.0)
@@ -100,7 +106,7 @@ class TestDecide:
         compensation cannot fit the slack, post-processing can."""
         task = _task(compensation_time=0.9, wcet=0.2)
         benefits = {"cloud": {"m": _fn([(0.5, 9.0)])}}
-        manager = TopologyDecisionManager("dp", resolution=1_000)
+        manager = OffloadingDecisionManager("dp", resolution=1_000)
         # without the bound the offload point is structurally
         # infeasible (0.02 + 0.9 > 0.5 slack): the task stays local
         unbounded = manager.decide(TaskSet([task]), benefits)
@@ -118,17 +124,17 @@ class TestDecide:
         assert bounded.schedulability.feasible
 
     def test_open_breaker_prunes_the_server(self):
-        manager = TopologyDecisionManager("dp", resolution=1_000)
-        breaker = manager.breaker("edge")
+        manager = OffloadingDecisionManager("dp", resolution=1_000)
+        breaker = manager.health.breaker("edge")
         breaker.record_window(0, 0, breaker.min_samples)
         decision = manager.decide(TaskSet([_task()]), _benefits())
         assert decision.pruned_servers == ("edge",)
         assert decision.server_of("m") == "cloud"
 
     def test_record_window_creates_breakers_for_new_servers(self):
-        manager = TopologyDecisionManager("dp")
-        assert manager.breakers == {}
-        states = manager.record_window(0, {"edge": (3, 0)})
+        manager = OffloadingDecisionManager("dp")
+        assert manager.health.breakers == {}
+        states = _window(manager, 0, {"edge": (3, 0)})
         assert states == {"edge": "closed"}
-        assert "edge" in manager.breakers
-        assert manager.open_servers == ()
+        assert "edge" in manager.health.breakers
+        assert manager.health.open_servers == ()
