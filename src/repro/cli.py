@@ -14,6 +14,7 @@ Subcommands regenerate the paper's artifacts from the terminal:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional
 
@@ -35,6 +36,18 @@ from .runtime.system import OffloadingSystem
 from .vision.tasks import table1_task_set
 
 __all__ = ["main"]
+
+
+def _write(path: str, text: str) -> None:
+    """Write one ``--out``/``--svg`` file and say so."""
+    with open(path, "w") as handle:
+        handle.write(text)
+    print(f"wrote {path}")
+
+
+def _write_json(path: str, record) -> None:
+    """``--out``: a report as sorted, indented JSON."""
+    _write(path, json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
@@ -65,9 +78,7 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
             x_label="work set", y_label="normalized benefit",
             baseline=1.0,
         )
-        with open(args.svg, "w") as handle:
-            handle.write(svg)
-        print(f"wrote {args.svg}")
+        _write(args.svg, svg)
     return 0
 
 
@@ -86,9 +97,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
             x_label="estimation accuracy ratio",
             y_label="normalized benefit",
         )
-        with open(args.svg, "w") as handle:
-            handle.write(svg)
-        print(f"wrote {args.svg}")
+        _write(args.svg, svg)
     return 0
 
 
@@ -294,8 +303,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
     from .perf.bench import format_bench, run_bench
 
     report = run_bench(
@@ -303,10 +310,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(format_bench(report))
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, report.to_dict())
     return 0 if report.differential_ok else 1
 
 
@@ -371,7 +375,6 @@ def _add_scenario_pool_flag(p: argparse.ArgumentParser) -> None:
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
     from .service import (
         LoadGenConfig,
@@ -452,16 +455,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     for anomaly in report.anomalies:
         print(f"  ! {anomaly}")
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, record)
     return 0 if report.ok else 1
 
 
 def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
     from .fleet import FleetCampaignConfig, run_fleet_campaign
     from .service import LoadGenConfig
@@ -527,16 +526,12 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
     for anomaly in report.anomalies:
         print(f"  ! {anomaly}")
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, record)
     return 0 if report.ok else 1
 
 
 def _cmd_fleet_scale(args: argparse.Namespace) -> int:
     import asyncio
-    import json
 
     from .fleet import CacheTierConfig, FleetScaleConfig, run_fleet_scale
 
@@ -593,16 +588,75 @@ def _cmd_fleet_scale(args: argparse.Namespace) -> int:
         f"({'OK' if report.ok else 'VIOLATIONS'})"
     )
     if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
+        _write_json(args.out, record)
     return 0 if report.ok else 1
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    import json
+def _run_sweep(
+    args: argparse.Namespace, run, matrices, config_cls, param, chart
+) -> int:
+    """The audited-sweep CLI path shared by ``campaign`` and
+    ``topology-sweep``: build the matrix and config from the shared
+    flags, run, re-run at ``--verify-parallel`` workers and require
+    identical results, print, write ``--svg``/``--out``.
 
+    ``matrices = (smoke, full)`` are the sweep's matrix factories,
+    ``param`` its own config field, and ``chart = (axis, {series:
+    marginal key}, title, x_label, y_label)`` picks the marginals the
+    ``--svg`` bar chart draws.
+    """
+    smoke, full = matrices
+    matrix = smoke() if args.smoke else full(num_tasks=args.tasks)
+    config = config_cls(
+        seed=args.seed,
+        replications=args.replications,
+        resolution=args.resolution,
+        **param,
+    )
+    report = run(matrix, config, workers=args.workers)
+    if args.verify_parallel and args.verify_parallel > 1:
+        parallel = run(matrix, config, workers=args.verify_parallel)
+        report.serial_parallel_identical = (
+            parallel.comparable_dict() == report.comparable_dict()
+        )
+        print(
+            f"verify: workers={args.verify_parallel} "
+            f"({parallel.mode}, {parallel.wall_seconds:.1f}s) "
+            f"{'==' if report.serial_parallel_identical else '!='} "
+            f"workers={report.workers} "
+            f"({report.mode}, {report.wall_seconds:.1f}s) — "
+            + (
+                "bit-for-bit identical"
+                if report.serial_parallel_identical
+                else "AGGREGATES DIVERGED"
+            )
+        )
+    print(report.format())
+    for anomaly in report.audit["anomalies"]:
+        print(f"  ! {anomaly}")
+    if args.svg:
+        from .reporting import svg_bar_chart
+
+        axis, keys, title, x_label, y_label = chart
+        per = report.marginals.get(axis, {})
+        labels = list(per)
+        series = {
+            name: [per[lb][key] or 0.0 for lb in labels]
+            for name, key in keys.items()
+        }
+        _write(
+            args.svg,
+            svg_bar_chart(
+                labels, series, title=title, x_label=x_label, y_label=y_label
+            ),
+        )
+    if args.out:
+        _write_json(args.out, report.to_dict())
+    ok = report.ok and report.serial_parallel_identical is not False
+    return 0 if ok else 1
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
     from .scenarios import (
         CampaignConfig,
         default_matrix,
@@ -610,145 +664,38 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         smoke_matrix,
     )
 
-    matrix = (
-        smoke_matrix() if args.smoke else default_matrix(num_tasks=args.tasks)
+    chart = (
+        "util_cap",
+        {
+            "schedulable": "schedulable_fraction",
+            "offload": "mean_offload_fraction",
+            "miss rate": "mean_miss_rate",
+        },
+        "Campaign marginals vs utilization cap",
+        "utilization cap",
+        "fraction",
     )
-    config = CampaignConfig(
-        seed=args.seed,
-        replications=args.replications,
-        resolution=args.resolution,
-        energy_weight=args.energy_weight,
+    return _run_sweep(
+        args, run_campaign, (smoke_matrix, default_matrix), CampaignConfig,
+        {"energy_weight": args.energy_weight}, chart,
     )
-    report = run_campaign(matrix, config, workers=args.workers)
-    if args.verify_parallel and args.verify_parallel > 1:
-        parallel = run_campaign(
-            matrix, config, workers=args.verify_parallel
-        )
-        report.serial_parallel_identical = (
-            parallel.comparable_dict() == report.comparable_dict()
-        )
-        print(
-            f"verify: workers={args.verify_parallel} "
-            f"({parallel.mode}, {parallel.wall_seconds:.1f}s) "
-            f"{'==' if report.serial_parallel_identical else '!='} "
-            f"workers={report.workers} "
-            f"({report.mode}, {report.wall_seconds:.1f}s) — "
-            + (
-                "bit-for-bit identical"
-                if report.serial_parallel_identical
-                else "AGGREGATES DIVERGED"
-            )
-        )
-    print(report.format())
-    for anomaly in report.audit["anomalies"]:
-        print(f"  ! {anomaly}")
-    if args.svg:
-        from .reporting import svg_bar_chart
-
-        per_cap = report.marginals.get("util_cap", {})
-        labels = list(per_cap)
-        series = {
-            "schedulable": [
-                per_cap[lb]["schedulable_fraction"] or 0.0 for lb in labels
-            ],
-            "offload": [
-                per_cap[lb]["mean_offload_fraction"] or 0.0 for lb in labels
-            ],
-            "miss rate": [
-                per_cap[lb]["mean_miss_rate"] or 0.0 for lb in labels
-            ],
-        }
-        with open(args.svg, "w") as handle:
-            handle.write(
-                svg_bar_chart(
-                    labels,
-                    series,
-                    title="Campaign marginals vs utilization cap",
-                    x_label="utilization cap",
-                    y_label="fraction",
-                )
-            )
-        print(f"wrote {args.svg}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    ok = report.ok and report.serial_parallel_identical is not False
-    return 0 if ok else 1
 
 
 def _cmd_topology_sweep(args: argparse.Namespace) -> int:
-    import json
-
     from .experiments import TopologySweepConfig, run_topology_sweep
     from .scenarios import topology_matrix, topology_smoke_matrix
 
-    matrix = (
-        topology_smoke_matrix()
-        if args.smoke
-        else topology_matrix(num_tasks=args.tasks)
+    chart = (
+        "servers",
+        {"benefit": "mean_benefit", "servers used": "mean_servers_used"},
+        "Topology sweep marginals vs server count",
+        "server count",
+        "value",
     )
-    config = TopologySweepConfig(
-        seed=args.seed,
-        replications=args.replications,
-        resolution=args.resolution,
-        num_samples=args.samples,
+    return _run_sweep(
+        args, run_topology_sweep, (topology_smoke_matrix, topology_matrix),
+        TopologySweepConfig, {"num_samples": args.samples}, chart,
     )
-    report = run_topology_sweep(matrix, config, workers=args.workers)
-    if args.verify_parallel and args.verify_parallel > 1:
-        parallel = run_topology_sweep(
-            matrix, config, workers=args.verify_parallel
-        )
-        report.serial_parallel_identical = (
-            parallel.comparable_dict() == report.comparable_dict()
-        )
-        print(
-            f"verify: workers={args.verify_parallel} "
-            f"({parallel.mode}, {parallel.wall_seconds:.1f}s) "
-            f"{'==' if report.serial_parallel_identical else '!='} "
-            f"workers={report.workers} "
-            f"({report.mode}, {report.wall_seconds:.1f}s) — "
-            + (
-                "bit-for-bit identical"
-                if report.serial_parallel_identical
-                else "AGGREGATES DIVERGED"
-            )
-        )
-    print(report.format())
-    for anomaly in report.audit["anomalies"]:
-        print(f"  ! {anomaly}")
-    if args.svg:
-        from .reporting import svg_bar_chart
-
-        per_count = report.marginals.get("servers", {})
-        labels = list(per_count)
-        series = {
-            "benefit": [
-                per_count[lb]["mean_benefit"] or 0.0 for lb in labels
-            ],
-            "servers used": [
-                per_count[lb]["mean_servers_used"] or 0.0 for lb in labels
-            ],
-        }
-        with open(args.svg, "w") as handle:
-            handle.write(
-                svg_bar_chart(
-                    labels,
-                    series,
-                    title="Topology sweep marginals vs server count",
-                    x_label="server count",
-                    y_label="value",
-                )
-            )
-        print(f"wrote {args.svg}")
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.out}")
-    ok = report.ok and report.serial_parallel_identical is not False
-    return 0 if ok else 1
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
@@ -780,6 +727,32 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for the sweep (-1 = all cores; "
             "results are identical at any worker count)",
         )
+
+    def add_sweep_args(p: argparse.ArgumentParser, smoke_help: str) -> None:
+        """The flags every audited sweep shares (see ``_run_sweep``)."""
+        p.add_argument("--smoke", action="store_true", help=smoke_help)
+        p.add_argument(
+            "--tasks", type=int, default=12,
+            help="tasks per generated set (full matrix only)",
+        )
+        p.add_argument(
+            "--replications", type=int, default=1,
+            help="instances drawn per matrix cell",
+        )
+        p.add_argument(
+            "--resolution", type=int, default=2_000,
+            help="DP capacity quantization units",
+        )
+        p.add_argument(
+            "--verify-parallel", type=int, default=4, metavar="N",
+            help="re-run at N workers and require bit-for-bit identical "
+            "aggregates (0 = skip)",
+        )
+        p.add_argument(
+            "--out", help="write the aggregate report JSON to PATH"
+        )
+        p.add_argument("--svg", help="also write a marginals chart to PATH")
+        add_workers(p)
 
     p = sub.add_parser("table1", help="regenerate Table 1 (E1)")
     p.add_argument("--scenario", default="idle")
@@ -1071,36 +1044,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a scenario campaign matrix (schedulability, benefit, "
         "energy, burst miss-rate marginals + differential audit)",
     )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="16-cell CI miniature instead of the full >=1000-instance "
-        "matrix",
-    )
-    p.add_argument(
-        "--tasks", type=int, default=12,
-        help="tasks per generated set (full matrix only)",
-    )
-    p.add_argument(
-        "--replications", type=int, default=1,
-        help="instances drawn per matrix cell",
-    )
-    p.add_argument(
-        "--resolution", type=int, default=2_000,
-        help="DP capacity quantization units",
+    add_sweep_args(
+        p, "16-cell CI miniature instead of the full >=1000-instance matrix"
     )
     p.add_argument(
         "--energy-weight", type=float, default=5.0,
         help="energy term of the blended objective "
         "(benefit weight stays 1.0)",
     )
-    p.add_argument(
-        "--verify-parallel", type=int, default=4, metavar="N",
-        help="re-run at N workers and require bit-for-bit identical "
-        "aggregates (0 = skip)",
-    )
-    p.add_argument("--out", help="write the aggregate report JSON to PATH")
-    p.add_argument("--svg", help="also write a marginals chart to PATH")
-    add_workers(p)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser(
@@ -1109,34 +1060,13 @@ def build_parser() -> argparse.ArgumentParser:
         "server count x heterogeneity x link quality + routed "
         "differential audit)",
     )
-    p.add_argument(
-        "--smoke", action="store_true",
-        help="6-cell CI miniature instead of the full 24-cell matrix",
-    )
-    p.add_argument(
-        "--tasks", type=int, default=12,
-        help="tasks per generated set (full matrix only)",
-    )
-    p.add_argument(
-        "--replications", type=int, default=1,
-        help="instances drawn per matrix cell",
-    )
-    p.add_argument(
-        "--resolution", type=int, default=2_000,
-        help="DP capacity quantization units",
+    add_sweep_args(
+        p, "6-cell CI miniature instead of the full 24-cell matrix"
     )
     p.add_argument(
         "--samples", type=int, default=64,
         help="estimator samples per (server, task) pair",
     )
-    p.add_argument(
-        "--verify-parallel", type=int, default=4, metavar="N",
-        help="re-run at N workers and require bit-for-bit identical "
-        "aggregates (0 = skip)",
-    )
-    p.add_argument("--out", help="write the aggregate report JSON to PATH")
-    p.add_argument("--svg", help="also write a marginals chart to PATH")
-    add_workers(p)
     p.set_defaults(func=_cmd_topology_sweep)
 
     p = sub.add_parser("demo", help="one end-to-end run with a Gantt chart")

@@ -49,7 +49,6 @@ from .split_policies import SplitPolicyResult, run_split_policy_ablation
 from .table1 import Table1Result, format_table1, regenerate_table1
 from .topology_sweep import (
     TopologySweepConfig,
-    TopologySweepReport,
     run_topology_sweep,
 )
 
@@ -89,5 +88,4 @@ __all__ = [
     "PercentilePoint",
     "run_topology_sweep",
     "TopologySweepConfig",
-    "TopologySweepReport",
 ]

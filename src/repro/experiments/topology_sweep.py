@@ -27,36 +27,39 @@ Every instance is audited five ways:
 * **federation gain** — the routed optimum must dominate every
   single-server restriction of the same topology.
 
-Work units run under :meth:`SweepRunner.map_seeded`, so the sweep is
+:data:`TOPOLOGY_SWEEP` hands the unit to the shared audited-sweep
+harness (:class:`~repro.scenarios.sweep.AuditedSweep`), so the sweep is
 bit-for-bit identical at any worker count; the CLI verifies this by
-running twice and comparing :meth:`TopologySweepReport.comparable_dict`.
+running twice and comparing :meth:`SweepReport.comparable_dict`.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..core.odm import OffloadingDecisionManager, build_mckp
 from ..core.task import OffloadableTask, TaskSet
 from ..knapsack import SolverCache, canonical_instance_key, solve_dp
-from ..parallel import SweepRunner
-from ..scenarios.campaign import _audit_solvers, _values_close
+from ..knapsack.dp import values_close
 from ..scenarios.generator import ScenarioSpec, generate_scenario
 from ..scenarios.matrix import (
     CampaignMatrix,
     topology_matrix,
     topology_smoke_matrix,
 )
+from ..scenarios.sweep import (
+    AuditedSweep,
+    SweepReport,
+    _audit_solvers,
+    sum_counts,
+)
 from ..sim.rng import RandomStreams
 from ..topology import estimate_topology_benefits, make_topology
 
 __all__ = [
     "TopologySweepConfig",
-    "TopologySweepReport",
     "run_topology_sweep",
 ]
 
@@ -247,7 +250,7 @@ def _sweep_unit(
         solo = solve_dp(restricted, resolution=resolution)
         if solo is not None and (
             solo.total_value > decision.expected_benefit + 1e-9
-            and not _values_close(
+            and not values_close(
                 solo.total_value, decision.expected_benefit
             )
         ):
@@ -291,179 +294,45 @@ def _sweep_unit(
     }
 
 
-class _Marginal:
-    """Streaming per-label means, folded in serial unit order."""
-
-    __slots__ = ("instances", "sums")
-
-    _FIELDS = (
-        "benefit",
-        "demand",
-        "offload_fraction",
-        "servers_used",
-        "degraded_drop",
-    )
-
-    def __init__(self) -> None:
-        self.instances = 0
-        self.sums = {f: 0.0 for f in self._FIELDS}
-
-    def fold(self, result: Dict[str, object]) -> None:
-        self.instances += 1
-        for f in self._FIELDS:
-            self.sums[f] += float(result[f])
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"instances": self.instances}
-        for f in self._FIELDS:
-            out[f"mean_{f}"] = (
-                self.sums[f] / self.instances if self.instances else None
-            )
-        return out
+def _headline(report: SweepReport) -> List[str]:
+    totals, audit = report.totals, report.audit
+    return [
+        f"  benefit: {totals['mean_benefit']:.3f}"
+        f"  offload: {totals['mean_offload_fraction']:.3f}"
+        f"  servers used: {totals['mean_servers_used']:.2f}"
+        f"  degraded drop: {totals['mean_degraded_drop']:.3f}",
+        f"  audit: {audit['reference_checks']} reference + "
+        f"{audit['brute_checks']} brute + "
+        f"{audit['single_server_checks']} single-server + "
+        f"{audit['prune_checks']}/{audit['recovery_checks']} "
+        f"prune/recovery + {audit['federation_checks']} federation "
+        f"checks, {audit['anomaly_count']} anomalies",
+    ]
 
 
-_CACHE_KEYS = (
-    "hits", "misses", "near_hits", "hits_local", "hits_replicated",
-    "replicated_in", "replicated_states_in", "entries", "delta_states",
+def _extras(results: List[Dict[str, object]]) -> Tuple[Dict, Dict]:
+    """The summed solver-cache stats of every instance's manager."""
+    return {}, {"stats": {"cache": sum_counts(r["cache"] for r in results)}}
+
+
+TOPOLOGY_SWEEP = AuditedSweep(
+    name="topology sweep",
+    unit=_sweep_unit,
+    param="num_samples",
+    fields={
+        f: f"mean_{f}"
+        for f in (
+            "benefit",
+            "demand",
+            "offload_fraction",
+            "servers_used",
+            "degraded_drop",
+        )
+    },
+    headline=_headline,
+    axis_metric=("benefit", "mean_benefit", ".1f"),
+    extras=_extras,
 )
-
-
-@dataclass
-class TopologySweepReport:
-    """Everything one topology sweep measured, JSON-ready."""
-
-    seed: int
-    cells: int
-    replications: int
-    instances: int
-    resolution: int
-    num_samples: int
-    workers: int
-    mode: str
-    axis_names: Tuple[str, ...]
-    totals: Dict[str, object] = field(default_factory=dict)
-    marginals: Dict[str, Dict[str, Dict[str, object]]] = field(
-        default_factory=dict
-    )
-    audit: Dict[str, object] = field(default_factory=dict)
-    stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    serial_parallel_identical: Optional[bool] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.audit.get("anomaly_count", 0) == 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": 1,
-            "seed": self.seed,
-            "cells": self.cells,
-            "replications": self.replications,
-            "instances": self.instances,
-            "resolution": self.resolution,
-            "num_samples": self.num_samples,
-            "workers": self.workers,
-            "mode": self.mode,
-            "axis_names": list(self.axis_names),
-            "totals": self.totals,
-            "marginals": self.marginals,
-            "audit": self.audit,
-            "stats": self.stats,
-            "ok": self.ok,
-            "serial_parallel_identical": self.serial_parallel_identical,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    def comparable_dict(self) -> Dict[str, object]:
-        """The sweep's results minus runtime circumstances — two runs
-        of the same sweep must agree on this dict exactly at any worker
-        count."""
-        out = self.to_dict()
-        for volatile in (
-            "workers", "mode", "wall_seconds", "serial_parallel_identical",
-        ):
-            out.pop(volatile)
-        return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def format(self) -> str:
-        audit = self.audit
-        lines = [
-            f"topology sweep: {self.instances} instances "
-            f"({self.cells} cells x {self.replications} replications), "
-            f"seed={self.seed}, workers={self.workers} ({self.mode})",
-            f"  benefit: {self.totals['mean_benefit']:.3f}"
-            f"  offload: {self.totals['mean_offload_fraction']:.3f}"
-            f"  servers used: {self.totals['mean_servers_used']:.2f}"
-            f"  degraded drop: {self.totals['mean_degraded_drop']:.3f}",
-            f"  audit: {audit['reference_checks']} reference + "
-            f"{audit['brute_checks']} brute + "
-            f"{audit['single_server_checks']} single-server + "
-            f"{audit['prune_checks']}/{audit['recovery_checks']} "
-            f"prune/recovery + {audit['federation_checks']} federation "
-            f"checks, {audit['anomaly_count']} anomalies",
-        ]
-        for axis in self.axis_names:
-            per = self.marginals[axis]
-            parts = [
-                f"{label}={m['mean_benefit']:.1f}"
-                for label, m in per.items()
-            ]
-            lines.append(f"  {axis}: benefit " + " ".join(parts))
-        return "\n".join(lines)
-
-
-def _aggregate(
-    results: List[Dict[str, object]],
-    axis_names: Tuple[str, ...],
-    max_anomalies: int,
-) -> Tuple[Dict, Dict, Dict, Dict]:
-    total = _Marginal()
-    marginals: Dict[str, Dict[str, _Marginal]] = {
-        name: {} for name in axis_names
-    }
-    anomalies: List[str] = []
-    counters = {
-        "reference_checks": 0,
-        "brute_checks": 0,
-        "single_server_checks": 0,
-        "prune_checks": 0,
-        "recovery_checks": 0,
-        "federation_checks": 0,
-    }
-    anomaly_count = 0
-    cache_totals = {key: 0 for key in _CACHE_KEYS}
-
-    for result in results:
-        total.fold(result)
-        for axis, label in result["labels"]:
-            if axis not in marginals:
-                continue
-            marginals[axis].setdefault(label, _Marginal()).fold(result)
-        audit = result["audit"]
-        for key in counters:
-            counters[key] += audit[key]
-        anomaly_count += len(audit["anomalies"])
-        room = max_anomalies - len(anomalies)
-        if room > 0:
-            anomalies.extend(audit["anomalies"][:room])
-        for key in _CACHE_KEYS:
-            cache_totals[key] += result["cache"][key]
-
-    audit_dict: Dict[str, object] = dict(counters)
-    audit_dict["anomaly_count"] = anomaly_count
-    audit_dict["anomalies"] = anomalies
-    audit_dict["ok"] = anomaly_count == 0
-    marginal_dict = {
-        axis: {label: m.to_dict() for label, m in per.items()}
-        for axis, per in marginals.items()
-    }
-    return total.to_dict(), marginal_dict, audit_dict, {
-        "cache": cache_totals
-    }
 
 
 def run_topology_sweep(
@@ -471,7 +340,7 @@ def run_topology_sweep(
     config: TopologySweepConfig = TopologySweepConfig(),
     workers: Optional[int] = None,
     smoke: bool = False,
-) -> TopologySweepReport:
+) -> SweepReport:
     """Expand the topology matrix and run the full sweep.
 
     ``smoke=True`` substitutes the 6-cell
@@ -481,35 +350,4 @@ def run_topology_sweep(
     """
     if matrix is None:
         matrix = topology_smoke_matrix() if smoke else topology_matrix()
-    cells = matrix.cells()
-    units = [spec for spec in cells for _ in range(config.replications)]
-    runner = SweepRunner(workers=workers)
-    started = time.perf_counter()
-    results = runner.map_seeded(
-        _sweep_unit,
-        units,
-        config.seed,
-        config.resolution,
-        config.num_samples,
-        config.brute_limit,
-    )
-    wall = time.perf_counter() - started
-    totals, marginals, audit, stats = _aggregate(
-        results, matrix.axis_names(), config.max_anomalies
-    )
-    return TopologySweepReport(
-        seed=config.seed,
-        cells=len(cells),
-        replications=config.replications,
-        instances=len(units),
-        resolution=config.resolution,
-        num_samples=config.num_samples,
-        workers=runner.workers,
-        mode=runner.last_mode,
-        axis_names=matrix.axis_names(),
-        totals=totals,
-        marginals=marginals,
-        audit=audit,
-        stats=stats,
-        wall_seconds=wall,
-    )
+    return TOPOLOGY_SWEEP.run(matrix, config, workers)

@@ -62,7 +62,7 @@ import numpy as np
 from ..observability.profiling import profile_calls
 from .mckp import MCKPInstance, Selection, prune_dominated
 
-__all__ = ["solve_dp", "solve_dp_reference"]
+__all__ = ["solve_dp", "solve_dp_reference", "values_close"]
 
 _NEG_INF = -np.inf
 
@@ -88,6 +88,11 @@ def _quantize_weight(weight: float, unit: float) -> int:
     if abs(units - nearest) <= 1e-9 * max(1.0, abs(units)):
         return int(nearest)
     return int(math.ceil(units))
+
+
+def values_close(a: float, b: float) -> bool:
+    """Whether two exact optima agree up to float summation order."""
+    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def _quantize_weights(weights: np.ndarray, unit: float) -> np.ndarray:

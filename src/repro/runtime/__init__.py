@@ -7,7 +7,6 @@ from .admission import AdmissionController, AdmissionVerdict
 from .energy import EnergyReport, PowerModel, compare_energy, energy_report
 from .health import (
     CircuitBreaker,
-    HealthMonitor,
     ResilienceReport,
     ResilienceWindow,
     ResilientOffloadingSystem,
@@ -28,7 +27,6 @@ __all__ = [
     "EnergyReport",
     "energy_report",
     "compare_energy",
-    "HealthMonitor",
     "CircuitBreaker",
     "ResilienceWindow",
     "ResilienceReport",

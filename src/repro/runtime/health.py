@@ -5,14 +5,12 @@ job, whether the server answered within ``R_i`` — information the paper
 uses only for benefit accounting.  This module turns it into a runtime
 resilience loop:
 
-* :class:`HealthMonitor` keeps a sliding window of per-job offload
-  outcomes and estimates the current failure rate;
-* :class:`CircuitBreaker` is the classic three-state machine over that
-  estimate: ``closed`` (offloading allowed) → ``open`` when the server
-  looks dead (offloaded tasks are demoted to local-only and the ODM is
-  re-run over the surviving configuration) → ``half_open`` after a
-  cooldown (one probing window re-tries offloading) → ``closed`` again
-  when the probe succeeds;
+* :class:`CircuitBreaker` is the classic three-state machine over each
+  window's offload failure rate: ``closed`` (offloading allowed) →
+  ``open`` when the server looks dead (the decision manager prunes the
+  server, so every task runs its local-only configuration) →
+  ``half_open`` after a cooldown (one probing window re-tries
+  offloading) → ``closed`` again when the probe succeeds;
 * :class:`BreakerBank` keeps one breaker per named server plus that
   server's outcome counts for the current window — the per-server
   health of the decision manager and of the online service;
@@ -29,26 +27,23 @@ and re-admits them when the server recovers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..core.benefit import BenefitFunction
-from ..core.odm import OffloadingDecision, OffloadingDecisionManager
+from ..core.odm import DEFAULT_SERVER, OffloadingDecisionManager
 from ..core.task import OffloadableTask, TaskSet
 from ..observability import Observability, maybe_profiled
 from ..sched.offload_scheduler import OffloadingScheduler
 from ..server.scenarios import SCENARIOS, ServerScenario, build_server
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams, derive_seed
-from ..sim.trace import Trace
 
 if TYPE_CHECKING:  # pragma: no cover — runtime import would be cyclic
     from ..faults.injectors import FaultSchedule
 
 __all__ = [
     "BREAKER_STATES",
-    "HealthMonitor",
     "CircuitBreaker",
     "BreakerBank",
     "ResilienceWindow",
@@ -67,8 +62,7 @@ def local_only_tasks(tasks: TaskSet) -> TaskSet:
     so offloading becomes structurally impossible while the task set
     stays a valid ODM input — the degraded decision is still an
     explicit, Theorem-3-verified decision rather than an ad-hoc patch.
-    Shared by the circuit-breaker loop here and the online service's
-    degradation ladder (:mod:`repro.service.degradation`).
+    Deciding with the server's breaker open gives the same decision.
     """
     survivors = TaskSet()
     for task in tasks:
@@ -89,51 +83,6 @@ def local_only_tasks(tasks: TaskSet) -> TaskSet:
         else:
             survivors.add(task)
     return survivors
-
-
-class HealthMonitor:
-    """Sliding-window failure-rate estimate over offload outcomes.
-
-    An *outcome* is one offloaded job: success when the result arrived
-    within ``R_i`` (the post-processing path ran), failure when the
-    compensation timer fired first.  Exactly the distinction the Local
-    Compensation Manager already makes — no new instrumentation on the
-    hot path.
-    """
-
-    def __init__(self, window: float = 10.0) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._samples: Deque[Tuple[float, bool]] = deque()
-
-    def record(self, time: float, timely: bool) -> None:
-        self._samples.append((time, timely))
-        self._evict(time)
-
-    def observe_trace(self, trace: Trace, time_offset: float = 0.0) -> None:
-        """Fold every finished offloaded job of ``trace`` in."""
-        for rec in trace.jobs.values():
-            if rec.offloaded and rec.finish is not None:
-                self.record(rec.finish + time_offset, rec.result_returned)
-
-    def _evict(self, now: float) -> None:
-        horizon = now - self.window
-        while self._samples and self._samples[0][0] < horizon:
-            self._samples.popleft()
-
-    @property
-    def sample_count(self) -> int:
-        return len(self._samples)
-
-    def failure_rate(self, now: Optional[float] = None) -> float:
-        """Fraction of windowed outcomes that needed compensation."""
-        if now is not None:
-            self._evict(now)
-        if not self._samples:
-            return 0.0
-        failures = sum(1 for _, timely in self._samples if not timely)
-        return failures / len(self._samples)
 
 
 class CircuitBreaker:
@@ -323,7 +272,13 @@ class ResilienceWindow:
     realized_benefit: float
     expected_benefit: float
     deadline_misses: int
-    failure_rate: float
+
+    @property
+    def failure_rate(self) -> float:
+        """Fraction of this window's finished offloads that needed
+        compensation (0 when none finished)."""
+        outcomes = self.returned + self.compensated
+        return self.compensated / outcomes if outcomes else 0.0
 
     @property
     def degraded(self) -> bool:
@@ -352,9 +307,6 @@ class ResilienceReport:
     def degraded_windows(self) -> int:
         return sum(1 for w in self.windows if w.degraded)
 
-    def series(self, attr: str) -> List[float]:
-        return [getattr(w, attr) for w in self.windows]
-
     def recovery_latency_windows(self) -> Optional[int]:
         """Windows from the last trip to the following re-close.
 
@@ -372,16 +324,19 @@ class ResilienceReport:
 class ResilientOffloadingSystem:
     """Windowed decide → run → observe loop with breaker degradation.
 
-    Each window the loop asks the breaker whether offloading is allowed:
+    The loop decides through the manager's breaker bank
+    (:attr:`OffloadingDecisionManager.health`) on the one server
+    :data:`~repro.core.odm.DEFAULT_SERVER`:
 
-    * ``closed``/``half_open`` — the ODM runs over the full task set and
+    * ``closed``/``half_open`` — the server's items stay in the MCKP and
       the window offloads normally (a ``half_open`` window doubles as
       the recovery probe);
-    * ``open`` — offloadable tasks are demoted to their local-only
-      configuration (benefit function truncated to the ``r = 0`` point)
-      and the ODM re-runs over that surviving configuration, so the
-      degraded decision is still an explicit, Theorem-3-verified
+    * ``open`` — the manager prunes the server, so the decision is the
+      local-only reduction: still an explicit, Theorem-3-verified
       decision rather than an ad-hoc patch.
+
+    Each window's timely and compensated offloads are the breaker's
+    evidence.  ``breaker`` installs a configured breaker for the server.
 
     A :class:`~repro.faults.FaultSchedule` (global time across windows)
     can be injected between the server and the client to exercise the
@@ -397,7 +352,6 @@ class ResilientOffloadingSystem:
         window: float = 5.0,
         fault_schedule: Optional["FaultSchedule"] = None,
         breaker: Optional[CircuitBreaker] = None,
-        monitor_window: Optional[float] = None,
         observability: Optional[Observability] = None,
     ) -> None:
         if isinstance(scenario, str):
@@ -417,27 +371,18 @@ class ResilientOffloadingSystem:
         # the loop re-decides the same (or local-only) instance every
         # window, so cache hits make re-decisions free after the first
         self.odm = OffloadingDecisionManager(solver=solver, cache=True)
-        self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.monitor = HealthMonitor(
-            window=monitor_window if monitor_window is not None else window
-        )
+        if breaker is not None:
+            self.odm.health.breakers[DEFAULT_SERVER] = breaker
         self.observability = (
             observability
             if observability is not None
             else Observability.disabled()
         )
 
-    # ------------------------------------------------------------------
-    # degraded configuration
-    # ------------------------------------------------------------------
-    def _local_only_tasks(self) -> TaskSet:
-        """The surviving configuration: offloading structurally disabled."""
-        return local_only_tasks(self.tasks)
-
-    def _decide(self) -> OffloadingDecision:
-        if self.breaker.allows_offloading:
-            return self.odm.decide(self.tasks)
-        return self.odm.decide(self._local_only_tasks())
+    @property
+    def breaker(self) -> CircuitBreaker:
+        """The manager's breaker for the server this loop offloads to."""
+        return self.odm.health.breaker(DEFAULT_SERVER)
 
     # ------------------------------------------------------------------
     # main loop
@@ -455,14 +400,14 @@ class ResilientOffloadingSystem:
             # window-local sim time is offset onto the global timeline
             # so the one event stream spans every window
             bus.clock_offset = index * self.window
-            decision = self._decide()
+            decision = self.odm.decide(self.tasks)
             if bus.enabled:
                 bus.emit(
                     "odm.decision",
                     0.0,
                     window=index,
                     solver=self.odm.solver_name,
-                    degraded=not self.breaker.allows_offloading,
+                    degraded=decision.degraded,
                     offloaded=sorted(decision.offloaded_task_ids),
                     expected_benefit=decision.expected_benefit,
                     demand_rate=decision.total_demand_rate,
@@ -489,14 +434,9 @@ class ResilientOffloadingSystem:
             with maybe_profiled(obs.profiler):
                 trace = scheduler.run(self.window)
 
-            offset = index * self.window
-            self.monitor.observe_trace(trace, time_offset=offset)
             offloaded = [r for r in trace.jobs.values() if r.offloaded]
             returned = sum(1 for r in offloaded if r.result_returned)
             compensated = sum(1 for r in offloaded if r.compensated)
-            failure_rate = self.monitor.failure_rate(
-                now=offset + self.window
-            )
             report.windows.append(
                 ResilienceWindow(
                     window=index,
@@ -508,13 +448,13 @@ class ResilientOffloadingSystem:
                     realized_benefit=trace.total_benefit(),
                     expected_benefit=decision.expected_benefit,
                     deadline_misses=trace.deadline_miss_count,
-                    failure_rate=failure_rate,
                 )
             )
             state_before = self.breaker.state
-            state_after = self.breaker.record_window(
-                index, successes=returned, failures=compensated
+            self.odm.health.record(
+                DEFAULT_SERVER, successes=returned, failures=compensated
             )
+            state_after = self.odm.health.close_window(index)[DEFAULT_SERVER]
             if bus.enabled and state_after != state_before:
                 bus.emit(
                     "breaker.state",

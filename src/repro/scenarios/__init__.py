@@ -7,8 +7,10 @@ campaign is a declarative matrix of named axes
 (:mod:`~repro.scenarios.matrix`), per-instance generation
 (:mod:`~repro.scenarios.generator`), energy pricing and energy-aware
 objectives (:mod:`~repro.scenarios.energy`), burst-admission overload
-(:mod:`~repro.scenarios.bursts`) and the parallel, self-auditing driver
-(:mod:`~repro.scenarios.campaign`) are each one module.
+(:mod:`~repro.scenarios.bursts`), the campaign's unit
+(:mod:`~repro.scenarios.campaign`) and the parallel, self-auditing
+sweep harness it shares with the topology sweep
+(:mod:`~repro.scenarios.sweep`) are each one module.
 
 Entry points: ``python -m repro campaign`` from the CLI, or::
 
@@ -39,7 +41,7 @@ from .bursts import (
     scenario_pool,
     simulate_burst_admission,
 )
-from .campaign import CampaignConfig, CampaignReport, run_campaign
+from .campaign import CampaignConfig, run_campaign
 from .energy import (
     ENERGY_PROFILES,
     EnergyModel,
@@ -55,18 +57,20 @@ from .matrix import (
     topology_matrix,
     topology_smoke_matrix,
 )
+from .sweep import AuditedSweep, SweepReport
 
 __all__ = [
+    "AuditedSweep",
     "AxisPoint",
     "BurstOutcome",
     "CampaignConfig",
     "CampaignMatrix",
-    "CampaignReport",
     "ENERGY_PROFILES",
     "EnergyModel",
     "EnergyObjective",
     "ScenarioAxis",
     "ScenarioSpec",
+    "SweepReport",
     "admissible",
     "attach_energy",
     "benefit_shape_axis",

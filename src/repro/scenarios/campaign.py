@@ -1,12 +1,10 @@
-"""Campaign driver: expand a matrix, run every instance, aggregate.
+"""The scenario campaign: an audited sweep over the scenario matrix.
 
-The driver is the scenario package's ``SweepRunner`` client: a campaign
-expands its :class:`~repro.scenarios.matrix.CampaignMatrix` into
-``cells × replications`` work units and maps a module-level unit
-function over them with :meth:`SweepRunner.map_seeded`, so instance
-``i`` draws from ``spawn_streams(seed, n)[i]`` — a pure function of
-``(seed, i)`` — and the aggregate is **bit-for-bit identical at every
-worker count** (the CLI verifies this by running twice).
+:data:`CAMPAIGN` hands the campaign's unit function to the shared
+harness (:class:`~repro.scenarios.sweep.AuditedSweep`), which expands
+the :class:`~repro.scenarios.matrix.CampaignMatrix`, runs every
+instance bit-for-bit identically at any worker count, and folds the
+results into per-axis marginals and one audit ledger.
 
 Per instance the unit measures and audits:
 
@@ -29,40 +27,30 @@ Per instance the unit measures and audits:
   whose weights are pre-quantized to the DP grid, so both solvers see
   the identical feasible region.
 
-Aggregation folds unit results in serial (unit) order into per-axis
-marginals: for every axis point, the mean schedulability / benefit /
-energy / miss-rate over the instances carrying that label.
+The marginals give, for every axis point, the mean schedulability /
+benefit / energy / miss-rate over the instances carrying that label.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.odm import build_mckp
 from ..core.task import TaskSet
-from ..knapsack import MCKPClass, MCKPInstance, MCKPItem, solve_brute_force
-from ..knapsack.dp import _quantize_weight, solve_dp, solve_dp_reference
-from ..parallel import SweepRunner
+from ..knapsack import MCKPInstance
+from ..knapsack.dp import solve_dp
 from ..sim.rng import RandomStreams
 from .bursts import simulate_burst_admission
 from .energy import EnergyObjective, decision_energy_rate
 from .generator import ScenarioSpec, generate_scenario
 from .matrix import CampaignMatrix, default_matrix, smoke_matrix
+from .sweep import AuditedSweep, SweepReport, _audit_solvers
 
 __all__ = [
     "CampaignConfig",
-    "CampaignReport",
     "run_campaign",
 ]
-
-#: Relative tolerance when comparing solver optima.  Both sides compute
-#: the same sum of the same float values, but possibly in a different
-#: association order.
-_VALUE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,35 +78,6 @@ class CampaignConfig:
             raise ValueError("brute_limit must be >= 0")
 
 
-def _quantized_copy(
-    instance: MCKPInstance, resolution: int
-) -> MCKPInstance:
-    """The instance as the DP actually sees it: integer-unit weights.
-
-    Weights become the (integer-valued) quantized unit counts and the
-    capacity becomes ``resolution``, so an exact solver on the copy
-    explores precisely the DP's feasible region — integer sums compare
-    exactly, no float-boundary mismatches.
-    """
-    unit = instance.capacity / resolution
-    classes = []
-    for cls in instance.classes:
-        items = tuple(
-            MCKPItem(
-                value=item.value,
-                weight=float(_quantize_weight(item.weight, unit)),
-                tag=item.tag,
-            )
-            for item in cls.items
-        )
-        classes.append(MCKPClass(class_id=cls.class_id, items=items))
-    return MCKPInstance(classes=tuple(classes), capacity=float(resolution))
-
-
-def _values_close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=_VALUE_RTOL, abs_tol=1e-9)
-
-
 def _selection_metrics(
     tasks: TaskSet, selection, instance: MCKPInstance
 ) -> Tuple[Dict[str, float], float, float, float]:
@@ -138,54 +97,6 @@ def _selection_metrics(
     energy_rate = decision_energy_rate(tasks, response_times)
     offload_fraction = offloaded / len(tasks) if len(tasks) else 0.0
     return response_times, benefit, energy_rate, offload_fraction
-
-
-def _audit_solvers(
-    name: str,
-    instance: MCKPInstance,
-    selection,
-    resolution: int,
-    brute_limit: int,
-    anomalies: List[str],
-) -> Tuple[int, int]:
-    """Differential audit of one instance; returns (ref, brute) counts."""
-    reference = solve_dp_reference(instance, resolution=resolution)
-    if (selection is None) != (reference is None):
-        anomalies.append(
-            f"{name}: dp feasibility "
-            f"{'infeasible' if selection is None else 'feasible'} "
-            "disagrees with reference oracle"
-        )
-    elif selection is not None and not _values_close(
-        selection.total_value, reference.total_value
-    ):
-        anomalies.append(
-            f"{name}: dp optimum {selection.total_value!r} != "
-            f"reference {reference.total_value!r}"
-        )
-    brute = 0
-    enumeration = 1
-    for cls in instance.classes:
-        enumeration *= len(cls.items)
-        if enumeration > brute_limit:
-            break
-    if 0 < enumeration <= brute_limit:
-        quantized = _quantized_copy(instance, resolution)
-        exact = solve_brute_force(quantized)
-        if (selection is None) != (exact is None):
-            anomalies.append(
-                f"{name}: dp feasibility disagrees with brute force on "
-                "the quantized instance"
-            )
-        elif selection is not None and not _values_close(
-            selection.total_value, exact.total_value
-        ):
-            anomalies.append(
-                f"{name}: dp optimum {selection.total_value!r} != "
-                f"brute force {exact.total_value!r}"
-            )
-        brute = 1
-    return 1, brute
 
 
 def _campaign_unit(
@@ -263,204 +174,69 @@ def _campaign_unit(
     return result
 
 
-class _Marginal:
-    """Streaming per-label means, folded in serial unit order."""
-
-    __slots__ = ("instances", "sums", "counts")
-
-    _FIELDS = (
-        "schedulable",
-        "benefit",
-        "energy_rate",
-        "blend_benefit",
-        "blend_energy_rate",
-        "offload_fraction",
-        "miss_rate",
-    )
-
-    def __init__(self) -> None:
-        self.instances = 0
-        self.sums = {f: 0.0 for f in self._FIELDS}
-        self.counts = {f: 0 for f in self._FIELDS}
-
-    def fold(self, result: Dict[str, object]) -> None:
-        self.instances += 1
-        for f in self._FIELDS:
-            value = result[f]
-            if f == "schedulable":
-                value = 1.0 if value else 0.0
-            if value is None:
-                continue
-            self.sums[f] += float(value)
-            self.counts[f] += 1
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"instances": self.instances}
-        for f in self._FIELDS:
-            key = (
-                "schedulable_fraction" if f == "schedulable"
-                else f"mean_{f}"
-            )
-            out[key] = (
-                self.sums[f] / self.counts[f] if self.counts[f] else None
-            )
-        return out
-
-
-@dataclass
-class CampaignReport:
-    """Everything one campaign run measured, JSON-ready."""
-
-    seed: int
-    cells: int
-    replications: int
-    instances: int
-    resolution: int
-    energy_weight: float
-    workers: int
-    mode: str
-    axis_names: Tuple[str, ...]
-    totals: Dict[str, object] = field(default_factory=dict)
-    marginals: Dict[str, Dict[str, Dict[str, object]]] = field(
-        default_factory=dict
-    )
-    audit: Dict[str, object] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-    serial_parallel_identical: Optional[bool] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.audit.get("anomaly_count", 0) == 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": 1,
-            "seed": self.seed,
-            "cells": self.cells,
-            "replications": self.replications,
-            "instances": self.instances,
-            "resolution": self.resolution,
-            "energy_weight": self.energy_weight,
-            "workers": self.workers,
-            "mode": self.mode,
-            "axis_names": list(self.axis_names),
-            "totals": self.totals,
-            "marginals": self.marginals,
-            "audit": self.audit,
-            "ok": self.ok,
-            "serial_parallel_identical": self.serial_parallel_identical,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    def comparable_dict(self) -> Dict[str, object]:
-        """The run's results minus runtime circumstances.
-
-        Two runs of the same campaign must agree on this dict exactly —
-        regardless of worker count or wall-clock — which is what the
-        CLI's serial-vs-parallel verification compares.
-        """
-        out = self.to_dict()
-        for volatile in (
-            "workers", "mode", "wall_seconds", "serial_parallel_identical",
-        ):
-            out.pop(volatile)
-        return out
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
-    def format(self) -> str:
-        lines = [
-            f"campaign: {self.instances} instances "
-            f"({self.cells} cells x {self.replications} replications), "
-            f"seed={self.seed}, workers={self.workers} ({self.mode})",
-            f"  schedulable: {self.totals['schedulable_fraction']:.3f}"
-            f"  offload: {_fmt(self.totals['mean_offload_fraction'])}"
-            f"  benefit: {_fmt(self.totals['mean_benefit'])}",
-            f"  energy rate: plain {_fmt(self.totals['mean_energy_rate'])}"
-            f" W -> blend {_fmt(self.totals['mean_blend_energy_rate'])} W"
-            f"  (saving {_fmt(self.totals['energy_saving_fraction'])})",
-            f"  burst miss rate: {_fmt(self.totals['mean_miss_rate'])}"
-            f" over {self.totals['burst_arrivals']} arrivals",
-            f"  audit: {self.audit['reference_checks']} reference + "
-            f"{self.audit['brute_checks']} brute-force checks, "
-            f"{self.audit['anomaly_count']} anomalies",
-        ]
-        for axis in self.axis_names:
-            per = self.marginals[axis]
-            parts = []
-            for label, m in per.items():
-                parts.append(
-                    f"{label}={m['schedulable_fraction']:.2f}"
-                )
-            lines.append(f"  {axis}: sched " + " ".join(parts))
-        return "\n".join(lines)
+def _headline(report: SweepReport) -> List[str]:
+    totals, audit = report.totals, report.audit
+    return [
+        f"  schedulable: {totals['schedulable_fraction']:.3f}"
+        f"  offload: {_fmt(totals['mean_offload_fraction'])}"
+        f"  benefit: {_fmt(totals['mean_benefit'])}",
+        f"  energy rate: plain {_fmt(totals['mean_energy_rate'])}"
+        f" W -> blend {_fmt(totals['mean_blend_energy_rate'])} W"
+        f"  (saving {_fmt(totals['energy_saving_fraction'])})",
+        f"  burst miss rate: {_fmt(totals['mean_miss_rate'])}"
+        f" over {totals['burst_arrivals']} arrivals",
+        f"  audit: {audit['reference_checks']} reference + "
+        f"{audit['brute_checks']} brute-force checks, "
+        f"{audit['anomaly_count']} anomalies",
+    ]
 
 
 def _fmt(value: Optional[float]) -> str:
     return "n/a" if value is None else f"{value:.3f}"
 
 
-def _aggregate(
-    results: List[Dict[str, object]],
-    axis_names: Tuple[str, ...],
-    max_anomalies: int,
-) -> Tuple[Dict[str, object], Dict, Dict[str, object]]:
-    """Fold unit results (serial order) into totals/marginals/audit."""
-    total = _Marginal()
-    marginals: Dict[str, Dict[str, _Marginal]] = {
-        name: {} for name in axis_names
-    }
-    anomalies: List[str] = []
-    anomaly_count = 0
-    reference_checks = 0
-    brute_checks = 0
-    burst_arrivals = 0
+def _extras(results: List[Dict[str, object]]) -> Tuple[Dict, Dict]:
+    """Burst arrivals, and the blend's energy saving over the instances
+    where both objectives found a decision."""
     energy_sum = 0.0
     blend_sum = 0.0
-    blend_pairs = 0
-
     for result in results:
-        total.fold(result)
-        for axis, label in result["labels"]:
-            if axis not in marginals:
-                continue
-            marginals[axis].setdefault(label, _Marginal()).fold(result)
-        audit = result["audit"]
-        reference_checks += audit["reference_checks"]
-        brute_checks += audit["brute_checks"]
-        anomaly_count += len(audit["anomalies"])
-        room = max_anomalies - len(anomalies)
-        if room > 0:
-            anomalies.extend(audit["anomalies"][:room])
-        burst_arrivals += result["burst_arrivals"]
         if (
             result["energy_rate"] is not None
             and result["blend_energy_rate"] is not None
         ):
             energy_sum += result["energy_rate"]
             blend_sum += result["blend_energy_rate"]
-            blend_pairs += 1
+    return {
+        "burst_arrivals": sum(r["burst_arrivals"] for r in results),
+        "energy_saving_fraction": (
+            (energy_sum - blend_sum) / energy_sum if energy_sum > 0 else None
+        ),
+    }, {}
 
-    totals = total.to_dict()
-    totals["burst_arrivals"] = burst_arrivals
-    totals["energy_saving_fraction"] = (
-        (energy_sum - blend_sum) / energy_sum
-        if blend_pairs and energy_sum > 0
-        else None
-    )
-    marginal_dict = {
-        axis: {label: m.to_dict() for label, m in per.items()}
-        for axis, per in marginals.items()
-    }
-    audit_dict = {
-        "reference_checks": reference_checks,
-        "brute_checks": brute_checks,
-        "anomaly_count": anomaly_count,
-        "anomalies": anomalies,
-        "ok": anomaly_count == 0,
-    }
-    return totals, marginal_dict, audit_dict
+
+CAMPAIGN = AuditedSweep(
+    name="campaign",
+    unit=_campaign_unit,
+    param="energy_weight",
+    fields={
+        "schedulable": "schedulable_fraction",
+        **{
+            f: f"mean_{f}"
+            for f in (
+                "benefit",
+                "energy_rate",
+                "blend_benefit",
+                "blend_energy_rate",
+                "offload_fraction",
+                "miss_rate",
+            )
+        },
+    },
+    headline=_headline,
+    axis_metric=("sched", "schedulable_fraction", ".2f"),
+    extras=_extras,
+)
 
 
 def run_campaign(
@@ -468,7 +244,7 @@ def run_campaign(
     config: CampaignConfig = CampaignConfig(),
     workers: Optional[int] = None,
     smoke: bool = False,
-) -> CampaignReport:
+) -> SweepReport:
     """Expand ``matrix`` and run the full campaign.
 
     ``smoke=True`` substitutes the 16-cell
@@ -478,34 +254,4 @@ def run_campaign(
     """
     if matrix is None:
         matrix = smoke_matrix() if smoke else default_matrix()
-    cells = matrix.cells()
-    units = [spec for spec in cells for _ in range(config.replications)]
-    runner = SweepRunner(workers=workers)
-    started = time.perf_counter()
-    results = runner.map_seeded(
-        _campaign_unit,
-        units,
-        config.seed,
-        config.resolution,
-        config.energy_weight,
-        config.brute_limit,
-    )
-    wall = time.perf_counter() - started
-    totals, marginals, audit = _aggregate(
-        results, matrix.axis_names(), config.max_anomalies
-    )
-    return CampaignReport(
-        seed=config.seed,
-        cells=len(cells),
-        replications=config.replications,
-        instances=len(units),
-        resolution=config.resolution,
-        energy_weight=config.energy_weight,
-        workers=runner.workers,
-        mode=runner.last_mode,
-        axis_names=matrix.axis_names(),
-        totals=totals,
-        marginals=marginals,
-        audit=audit,
-        wall_seconds=wall,
-    )
+    return CAMPAIGN.run(matrix, config, workers)

@@ -9,9 +9,10 @@ Theorem-3 re-check is written exactly once:
 
 * an *admitted* response must pass Theorem 3 when re-checked from the
   raw request (the deadline-guarantee invariant — zero tolerance);
-* an ``exact``-rung response must be **bit-identical** to
-  :func:`repro.knapsack.solve_dp_reference` on the same instance —
-  same placements, same expected benefit;
+* an ``exact``-rung response must meet the DP contract (DESIGN.md
+  §10) against :func:`repro.knapsack.solve_dp_reference`: the same
+  optimal value at the same minimal quantized weight — not the same
+  argmax, which equal optima leave open;
 * a degraded response (``heuristic``/``local_only``) must agree with
   the exact reference on *admissibility*: degradation may cost
   benefit, never flip an exact-path rejection into an admission (or
@@ -24,10 +25,11 @@ server the latency percentiles are compared against.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import List
+from typing import List, Optional
 
 from ..core.schedulability import OffloadAssignment, theorem3_test
-from ..knapsack import solve_dp_reference
+from ..knapsack import MCKPInstance, Selection, solve_dp_reference
+from ..knapsack.dp import _quantize_weight, values_close
 from ..observability.metrics import percentile  # noqa: F401 (re-export)
 from .request import (
     AdmissionRequest,
@@ -41,6 +43,31 @@ __all__ = [
 ]
 
 
+def _quantized_weight(selection: Selection, resolution: int) -> int:
+    """The selection's weight in the DP's integer capacity units."""
+    unit = selection.instance.capacity / resolution
+    return sum(
+        _quantize_weight(selection.item_for(cls.class_id).weight, unit)
+        for cls in selection.instance.classes
+    )
+
+
+def _as_selection(
+    instance: MCKPInstance, placements
+) -> Optional[Selection]:
+    """The instance's selection that ``placements`` name, if any."""
+    if len(placements) != len(instance.classes):
+        return None
+    choices = {}
+    for cls in instance.classes:
+        tags = [item.tag for item in cls.items]
+        placement = tuple(placements.get(cls.class_id, ()))
+        if placement not in tags:
+            return None
+        choices[cls.class_id] = tags.index(placement)
+    return Selection(instance, choices)
+
+
 def audit_response(
     request: AdmissionRequest,
     response: AdmissionResponse,
@@ -49,10 +76,11 @@ def audit_response(
     """Offline re-verification of one decision; returns anomaly strings.
 
     Checks (1) the Theorem 3 deadline guarantee of every admission, (2)
-    bit-identity of exact-rung answers against
-    :func:`solve_dp_reference`, (3) admissibility agreement of degraded
-    answers with the exact reference on the instance the service
-    actually offered (``response.allowed_servers``).
+    the DP contract of exact-rung answers against
+    :func:`solve_dp_reference` — feasibility, optimal value and minimal
+    quantized weight, (3) admissibility agreement of degraded answers
+    with the exact reference on the instance the service actually
+    offered (``response.allowed_servers``).
     """
     anomalies: List[str] = []
     rid = response.request_id
@@ -101,20 +129,28 @@ def audit_response(
         return anomalies
 
     if response.degradation == "exact" and reference is not None:
-        expected = {
-            cls.class_id: reference.item_for(cls.class_id).tag
-            for cls in instance.classes
-        }
-        got = {
-            tid: (server, r)
-            for tid, (server, r) in response.placements.items()
-        }
-        if got != {
-            tid: (server, float(r))
-            for tid, (server, r) in expected.items()
-        }:
-            anomalies.append(f"{rid}: exact placements differ from reference")
-        if response.expected_benefit != reference.total_value:
+        selection = _as_selection(instance, response.placements)
+        if selection is None:
+            anomalies.append(
+                f"{rid}: exact placements differ from every selection "
+                "of the instance"
+            )
+        elif not values_close(selection.total_value, reference.total_value):
+            anomalies.append(
+                f"{rid}: exact placements differ from reference optimum "
+                f"{selection.total_value!r} != {reference.total_value!r}"
+            )
+        else:
+            weight = _quantized_weight(selection, resolution)
+            minimal = _quantized_weight(reference, resolution)
+            if weight != minimal:
+                anomalies.append(
+                    f"{rid}: exact placements differ from reference "
+                    f"minimal quantized weight {weight} != {minimal}"
+                )
+        if not values_close(
+            response.expected_benefit, reference.total_value
+        ):
             anomalies.append(
                 f"{rid}: exact benefit {response.expected_benefit!r} != "
                 f"reference {reference.total_value!r}"

@@ -1,41 +1,14 @@
-"""Health monitor and circuit-breaker state machine tests."""
+"""Circuit-breaker state machine and resilient-loop tests."""
 
 import pytest
 
+from repro.core.odm import DEFAULT_SERVER
 from repro.runtime.health import (
     BreakerBank,
     CircuitBreaker,
-    HealthMonitor,
     ResilientOffloadingSystem,
 )
 from repro.faults import FaultSchedule
-
-
-class TestHealthMonitor:
-    def test_empty_monitor_reports_zero(self):
-        assert HealthMonitor().failure_rate() == 0.0
-
-    def test_failure_rate_counts_compensations(self):
-        monitor = HealthMonitor(window=10.0)
-        monitor.record(1.0, timely=True)
-        monitor.record(2.0, timely=False)
-        monitor.record(3.0, timely=False)
-        monitor.record(4.0, timely=True)
-        assert monitor.failure_rate() == pytest.approx(0.5)
-        assert monitor.sample_count == 4
-
-    def test_old_samples_evicted(self):
-        monitor = HealthMonitor(window=5.0)
-        monitor.record(0.0, timely=False)
-        monitor.record(1.0, timely=False)
-        monitor.record(8.0, timely=True)
-        # the two failures fell out of the [3, 8] window
-        assert monitor.failure_rate(now=8.0) == 0.0
-        assert monitor.sample_count == 1
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ValueError, match="window"):
-            HealthMonitor(window=0.0)
 
 
 class TestCircuitBreaker:
@@ -282,6 +255,10 @@ class TestResilientOffloadingSystem:
         # the open window offloads nothing (local-only decision in force)
         degraded = [w for w in report.windows if w.state == "open"]
         assert degraded and all(w.offloaded == 0 for w in degraded)
+        assert all(w.failure_rate == 0.0 for w in degraded)
+        # the window that tripped the breaker saw only compensations
+        tripped = report.transitions[0][0]
+        assert report.windows[tripped].failure_rate == 1.0
         assert all(
             r == 0.0 for w in degraded for r in w.response_times.values()
         )
@@ -292,10 +269,20 @@ class TestResilientOffloadingSystem:
 
     def test_local_only_decision_is_theorem3_verified(self, table1_tasks):
         system = ResilientOffloadingSystem(table1_tasks, seed=0)
-        degraded = system._local_only_tasks()
-        decision = system.odm.decide(degraded)
+        breaker = system.breaker
+        breaker.record_window(0, successes=0, failures=breaker.min_samples)
+        decision = system.odm.decide(system.tasks)
+        assert decision.pruned_servers == (DEFAULT_SERVER,)
         assert decision.schedulability.feasible
         assert all(r == 0.0 for r in decision.response_times.values())
+
+    def test_configured_breaker_is_the_managers(self, table1_tasks):
+        breaker = CircuitBreaker(min_samples=1)
+        system = ResilientOffloadingSystem(
+            table1_tasks, seed=0, breaker=breaker
+        )
+        assert system.breaker is breaker
+        assert system.odm.health.breaker(DEFAULT_SERVER) is breaker
 
     def test_invalid_parameters_rejected(self, table1_tasks):
         with pytest.raises(ValueError, match="scenario"):

@@ -1,4 +1,4 @@
-"""Campaign driver: smoke run, determinism, aggregation, report schema."""
+"""Campaign: smoke run, seeds, aggregation, report schema, bursts."""
 
 import json
 
@@ -79,14 +79,6 @@ class TestSmokeCampaign:
 
 
 class TestSerialParallelDeterminism:
-    def test_results_identical_at_any_worker_count(self):
-        config = CampaignConfig(seed=3)
-        serial = run_campaign(config=config, workers=1, smoke=True)
-        parallel = run_campaign(config=config, workers=2, smoke=True)
-        assert serial.mode == "serial"
-        assert parallel.mode == "parallel"
-        assert serial.comparable_dict() == parallel.comparable_dict()
-
     def test_different_seeds_differ(self):
         a = run_campaign(config=CampaignConfig(seed=1), workers=1,
                          smoke=True)

@@ -328,7 +328,7 @@ def test_energy_odm_matches_brute_force_enumerator():
     from repro.core.odm import build_mckp
     from repro.knapsack import solve_brute_force
     from repro.scenarios import EnergyObjective, ScenarioSpec
-    from repro.scenarios.campaign import _quantized_copy
+    from repro.scenarios.sweep import _quantized_copy
     from repro.scenarios.generator import generate_scenario
 
     objective = EnergyObjective(benefit_weight=1.0, energy_weight=8.0)

@@ -31,7 +31,7 @@ from repro.knapsack import (
     solve_dp,
     solve_dp_reference,
 )
-from repro.scenarios.campaign import _quantized_copy
+from repro.scenarios.sweep import _quantized_copy
 
 #: 20 parametrized seeds x 10 federations each = 200 differential cases
 #: per test (the corpus-size contract of the issue).

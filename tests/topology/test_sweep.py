@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.experiments import (
-    TopologySweepConfig,
-    TopologySweepReport,
-    run_topology_sweep,
-)
+from repro.experiments import TopologySweepConfig, run_topology_sweep
 from repro.scenarios import topology_matrix, topology_smoke_matrix
 
 _CONFIG = TopologySweepConfig(seed=7, num_samples=16, resolution=400)
@@ -70,7 +66,7 @@ class TestSmokeSweep:
             assert sum(m["instances"] for m in per.values()) == 6
 
     def test_cache_stats_aggregated(self, smoke_report):
-        cache = smoke_report.stats["cache"]
+        cache = smoke_report.sections["stats"]["cache"]
         # decide + degraded decide + recovered decide per instance, the
         # recovery always served from cache
         assert cache["misses"] > 0
