@@ -411,7 +411,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                     resolution=args.resolution,
                     pool=pool,
                 )
-        client = ServiceClient(args.host, args.port, protocol=args.protocol)
+        client = ServiceClient(args.host, args.port)
         async with client:
             report = await run_loadgen(
                 client.submit, config,
@@ -883,10 +883,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help=(
-            "online ODM admission service (binary-framed or "
-            "newline-JSON TCP, negotiated per message)"
-        ),
+        help="online ODM admission service (binary-framed TCP)",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7741)
@@ -920,10 +917,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unique-sets", type=int, default=10)
     p.add_argument("--tasks", type=int, default=5)
     p.add_argument("--resolution", type=int, default=20_000)
-    p.add_argument(
-        "--protocol", choices=("binary", "json"), default="binary",
-        help="wire framing for the TCP client (json = legacy v1)",
-    )
     p.add_argument(
         "--batch-admit", action="store_true",
         help=(

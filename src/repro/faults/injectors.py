@@ -41,7 +41,7 @@ a hard deadline miss; the chaos harness asserts exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,9 +147,6 @@ class FaultSchedule:
     def active(self, kind: str, time: float) -> bool:
         """Is any window of ``kind`` open at ``time``?"""
         return any(e.kind == kind and e.covers(time) for e in self.events)
-
-    def active_events(self, time: float) -> List[FaultEvent]:
-        return [e for e in self.events if e.covers(time)]
 
     def blackholed(self, time: float) -> bool:
         """True while a crash or partition window is open."""

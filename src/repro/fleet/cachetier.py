@@ -12,14 +12,13 @@ the machinery that already exists:
   hottest entries (hit-count-ranked).  The digest costs a few hundred
   bytes and rides the beacon exchange :class:`~repro.fleet.gossip.GossipAgent`
   already runs every interval.
-* **Bulk transfer is a dedicated wire-v2 op.**  When a digest
-  advertises fingerprints the local cache lacks,
-  :class:`CacheReplicator` sends a length-prefixed binary
-  ``cache_sync`` frame *on the same connection* (the PR 7 per-message
-  negotiation makes newline-JSON gossip and binary frames interleave
-  freely) carrying its ``have`` fingerprints and budgets; the peer
-  answers with up to ``sync_budget`` serialized hot entries and
-  ``state_budget`` resumable delta states, each individually capped at
+* **Bulk transfer is a dedicated op.**  When a digest advertises
+  fingerprints the local cache lacks, :class:`CacheReplicator` sends
+  a ``cache_sync`` request through the gossip exchange's own
+  :class:`~repro.service.server.ServiceClient`, carrying its ``have``
+  fingerprints and budgets; the peer answers with up to
+  ``sync_budget`` serialized hot entries and ``state_budget``
+  resumable delta states, each individually capped at
   ``max_entry_bytes`` (oversized records are *skipped and counted*,
   never truncated).
 * **Absorption is strictly an optimization.**  Records decode through
@@ -40,7 +39,6 @@ the pull side.
 
 from __future__ import annotations
 
-import asyncio
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -54,12 +52,6 @@ from ..knapsack.serialize import (
     encode_state,
     encoded_size,
     key_fingerprint,
-)
-from ..service.protocol import (
-    HEADER,
-    decode_header,
-    decode_payload,
-    encode_frame,
 )
 
 __all__ = [
@@ -213,22 +205,14 @@ def absorb_sync_reply(
     return counts
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> Dict[str, object]:
-    """One wire-v2 reply frame off ``reader`` (raises on EOF/garbage)."""
-    header = await reader.readexactly(HEADER.size)
-    _, flags, length = decode_header(header)
-    payload = await reader.readexactly(length)
-    return decode_payload(flags, payload)
-
-
 class CacheReplicator:
     """The pull side of warm replication, one per replica.
 
     Hooked into :class:`~repro.fleet.gossip.GossipAgent`: after each
     beacon exchange the agent hands the peer's ``cache_digest`` (and
-    the still-open connection) to :meth:`maybe_pull`, which issues a
-    binary ``cache_sync`` request only when the digest advertises
-    fingerprints the local cache lacks.
+    its still-open client) to :meth:`maybe_pull`, which issues a
+    ``cache_sync`` pull only when the digest advertises fingerprints
+    the local cache lacks.
     """
 
     def __init__(
@@ -265,10 +249,9 @@ class CacheReplicator:
         return any(str(fp) not in held for fp in hot)
 
     def sync_request(self) -> Dict[str, object]:
-        """The ``cache_sync`` request record for one pull."""
+        """The ``cache_sync`` arguments for one full-budget pull."""
         cache = self.cache
         return {
-            "op": "cache_sync",
             "have": (
                 []
                 if cache is None
@@ -290,25 +273,19 @@ class CacheReplicator:
         )
         return counts
 
+    async def pull(self, client) -> Dict[str, int]:
+        """One ``cache_sync`` pull through a ``ServiceClient``."""
+        return self.absorb(await client.cache_sync(**self.sync_request()))
+
     async def maybe_pull(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        digest: Mapping[str, object],
+        self, client, digest: Mapping[str, object]
     ) -> Optional[Dict[str, int]]:
-        """One digest-gated pull over an already-open peer connection."""
+        """One digest-gated :meth:`pull` from the peer behind ``client``."""
         self.digests_seen += 1
         if not self.wants_pull(digest):
             self.digests_skipped += 1
             return None
-        writer.write(encode_frame(self.sync_request()))
-        await writer.drain()
-        reply = await _read_frame(reader)
-        if reply.get("op") != "cache_sync":
-            raise ValueError(
-                f"expected cache_sync reply, got {reply.get('op')!r}"
-            )
-        return self.absorb(reply)
+        return await self.pull(client)
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -333,12 +310,4 @@ async def warm_from_peer(
     budget's worth of hot entries before taking traffic, instead of
     waiting for the gossip cadence to find the digests.
     """
-    replicator = CacheReplicator(cache, config)
-    request = replicator.sync_request()
-    reply = await client.cache_sync(
-        have=request["have"],
-        budget=request["budget"],
-        states=request["states"],
-        max_bytes=request["max_bytes"],
-    )
-    return replicator.absorb(reply)
+    return await CacheReplicator(cache, config).pull(client)

@@ -13,24 +13,25 @@ of every replica paying the failure evidence separately.
 freshest beacon per replica, used by the router for least-loaded
 routing and for the fleet-wide worst-case breaker view.
 
-With a :class:`~repro.fleet.cachetier.CacheReplicator` attached, the
-same exchange also drives warm cache replication: the peer's gossip
-reply piggybacks a ``cache_digest``, and when it advertises entries
-this replica lacks the agent issues a binary ``cache_sync`` pull on
-the already-open connection before closing it.  Replication failures
-are swallowed like any other peer error — a broken cache sync never
-degrades health gossip.
+Each exchange is one short-lived
+:class:`~repro.service.server.ServiceClient` connection.  With a
+:class:`~repro.fleet.cachetier.CacheReplicator` attached, the same
+exchange also drives warm cache replication: the peer's gossip reply
+piggybacks a ``cache_digest``, and when it advertises entries this
+replica lacks the agent issues a ``cache_sync`` pull through the same
+client before closing it.  Replication failures are swallowed like
+any other peer error — a broken cache sync never degrades health
+gossip.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..service.aio import cancel_and_wait
-from ..service.server import ODMService
+from ..service.server import ODMService, ServiceClient
 from .cachetier import CacheReplicator
 
 __all__ = [
@@ -134,7 +135,7 @@ class GossipState:
 
 
 class GossipAgent:
-    """Replica-side gossip loop over short-lived TCP exchanges.
+    """Replica-side gossip loop over short-lived client connections.
 
     Each round the agent dials every peer, pushes its own service's
     beacon and absorbs the reply into both the service (breaker
@@ -206,43 +207,23 @@ class GossipAgent:
             except (
                 ConnectionError,
                 OSError,
-                EOFError,  # IncompleteReadError during a cache pull
                 asyncio.TimeoutError,
+                ValueError,  # malformed peer beacon/frame
             ):
                 self.unreachable += 1
-            except ValueError:
-                self.unreachable += 1  # malformed peer beacon/frame
         return reached
 
     async def _exchange(self, host: str, port: int) -> None:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            payload = {"op": "gossip", "beacon": self.service.beacon()}
-            writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-            await writer.drain()
-            line = await reader.readline()
-            if not line:
-                raise ConnectionError("peer closed during gossip")
-            record = json.loads(line)
-            beacon_record = record.get("beacon")
-            if not isinstance(beacon_record, Mapping):
-                raise ValueError("gossip reply carries no beacon")
-            beacon = HealthBeacon.from_dict(beacon_record)
-            self.state.absorb(beacon)
+        async with ServiceClient(host, port) as client:
+            reply = await client.gossip(self.service.beacon())
+            beacon_record = reply["beacon"]
+            self.state.absorb(HealthBeacon.from_dict(beacon_record))
             self.service.absorb_beacon(beacon_record)
-            digest = record.get("cache_digest")
+            digest = reply.get("cache_digest")
             if self.replicator is not None and isinstance(
                 digest, Mapping
             ):
-                # same connection, binary framing: the server's
-                # per-message negotiation interleaves the two freely
-                await self.replicator.maybe_pull(reader, writer, digest)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+                await self.replicator.maybe_pull(client, digest)
 
     def stats(self) -> Dict[str, object]:
         snapshot: Dict[str, object] = {

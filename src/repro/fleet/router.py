@@ -36,7 +36,7 @@ from ..observability import Observability
 from ..faults.process import LinkChaos
 from ..service.aio import cancel_and_wait
 from ..service.request import AdmissionRequest, AdmissionResponse
-from ..service.server import ConnectionLost, ServiceClient
+from ..service.server import ServiceClient
 from ..sim.rng import RandomStreams
 from .gossip import GossipState, HealthBeacon
 from .membership import FleetMembership, HashRing, ReplicaSpec
@@ -68,10 +68,6 @@ class RouterConfig:
     """
 
     policy: str = "least_loaded"
-    #: wire protocol the router's replica clients speak: the v2
-    #: length-prefixed binary framing (default) or legacy v1
-    #: newline-JSON ("json") for mixed-fleet rollouts
-    protocol: str = "binary"
     request_timeout: float = 5.0
     max_attempts: int = 3
     backoff_base: float = 0.02
@@ -88,11 +84,6 @@ class RouterConfig:
             raise ValueError(
                 f"unknown routing policy {self.policy!r}; "
                 f"known: {ROUTING_POLICIES}"
-            )
-        if self.protocol not in ("binary", "json"):
-            raise ValueError(
-                f"protocol must be 'binary' or 'json', "
-                f"got {self.protocol!r}"
             )
         if self.request_timeout <= 0:
             raise ValueError("request_timeout must be positive")
@@ -204,16 +195,10 @@ class FleetRouter:
                 spec.host,
                 spec.port,
                 default_timeout=self.config.request_timeout,
-                protocol=self.config.protocol,
             )
             await client.connect()
             self._clients[replica_id] = client
             return client
-
-    async def _drop_client(self, replica_id: str) -> None:
-        client = self._clients.pop(replica_id, None)
-        if client is not None:
-            await client.close()
 
     # ------------------------------------------------------------------
     # replica selection
@@ -477,9 +462,10 @@ class FleetRouter:
         for replica_id in self.membership.ids():
             try:
                 client = await self._client(replica_id)
-                beacon_record = await client.gossip(
+                reply = await client.gossip(
                     timeout=self.config.probe_timeout
                 )
+                beacon_record = reply["beacon"]
                 self.membership.update_beacon(replica_id, beacon_record)
                 self.gossip.absorb(HealthBeacon.from_dict(beacon_record))
                 self._mark_success(replica_id)
@@ -489,38 +475,6 @@ class FleetRouter:
             except ValueError:
                 pass  # malformed beacon; keep the replica routable
         return reached
-
-    # ------------------------------------------------------------------
-    # fan-out helpers (campaign evidence distribution)
-    # ------------------------------------------------------------------
-    async def broadcast_outcome(
-        self, server: str, ok: bool, time: float
-    ) -> int:
-        """Report one offload outcome to every *reachable* replica."""
-        reached = 0
-        for replica_id in self.membership.healthy():
-            try:
-                client = await self._client(replica_id)
-                await client.record_outcome(
-                    server, ok, time, timeout=self.config.probe_timeout
-                )
-                reached += 1
-            except _FAILOVER_ERRORS:
-                self._on_failure(replica_id, fatal=True)
-        return reached
-
-    async def broadcast_window(self) -> Dict[str, Dict[str, str]]:
-        """Close one health window on every reachable replica."""
-        states: Dict[str, Dict[str, str]] = {}
-        for replica_id in self.membership.healthy():
-            try:
-                client = await self._client(replica_id)
-                states[replica_id] = await client.close_window(
-                    timeout=self.config.probe_timeout
-                )
-            except _FAILOVER_ERRORS:
-                self._on_failure(replica_id, fatal=True)
-        return states
 
     # ------------------------------------------------------------------
     # reporting

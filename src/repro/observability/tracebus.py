@@ -118,14 +118,6 @@ class TraceEvent:
     kind: str
     data: Dict[str, object]
 
-    def to_record(self) -> Dict[str, object]:
-        return {
-            "seq": self.seq,
-            "time": self.time,
-            "kind": self.kind,
-            **self.data,
-        }
-
 
 class TraceBus:
     """Ring-buffered structured event sink with subscriptions.

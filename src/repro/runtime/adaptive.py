@@ -88,10 +88,6 @@ class AdaptiveReport:
 
     windows: List[WindowRecord] = field(default_factory=list)
 
-    @property
-    def final_window(self) -> WindowRecord:
-        return self.windows[-1]
-
     def series(self, attr: str) -> List[float]:
         return [getattr(w, attr) for w in self.windows]
 

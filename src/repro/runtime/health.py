@@ -122,6 +122,9 @@ class CircuitBreaker:
         self.recoveries = 0
         #: trips caused by remote (gossiped) evidence, not local windows
         self.remote_trips = 0
+        #: the current state came from gossip, not from this breaker's
+        #: own outcome evidence (a replica does not re-advertise it)
+        self.remote = False
         self._cooldown_left = 0
         #: (window_index, old_state, new_state) transition log
         self.transitions: List[Tuple[int, str, str]] = []
@@ -145,6 +148,8 @@ class CircuitBreaker:
         total = successes + failures
         rate = failures / total if total else 0.0
         evidence = total >= self.min_samples
+        if evidence and self.state != "open":
+            self.remote = False
 
         if self.state == "closed":
             if evidence and rate >= self.failure_threshold:
@@ -189,9 +194,11 @@ class CircuitBreaker:
             self.trips += 1
             self.remote_trips += 1
             self._cooldown_left = self.cooldown_windows
+            self.remote = True
             self._move(window, "open")
         elif state == "closed" and self.state == "half_open":
             self.recoveries += 1
+            self.remote = True
             self._move(window, "closed")
         return self.state
 

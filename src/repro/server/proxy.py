@@ -70,10 +70,6 @@ class GpuServerProxy:
     # aggregate statistics (scenario calibration + tests)
     # ------------------------------------------------------------------
     @property
-    def total_queue_length(self) -> int:
-        return sum(d.queue_length for d in self.devices)
-
-    @property
     def total_busy_time(self) -> float:
         return sum(d.busy_time for d in self.devices)
 

@@ -14,9 +14,10 @@ package turns it into an *online admission service*:
 * :mod:`repro.service.degradation` — the exact → heuristic →
   local-only ladder (cheaper under load, never less safe);
 * :mod:`repro.service.protocol` — the length-prefixed binary wire
-  framing (v2), coexisting with legacy newline-JSON per message;
-* :mod:`repro.service.server` — the :class:`ODMService` orchestrator
-  and the dual-protocol TCP front-end behind ``repro serve``;
+  framing, the service's one wire;
+* :mod:`repro.service.server` — the :class:`ODMService` orchestrator,
+  the TCP front-end behind ``repro serve`` and :class:`ServiceClient`,
+  its one client;
 * :mod:`repro.service.loadgen` — reproducible bursty traffic with an
   online differential audit, behind ``repro loadgen``.
 

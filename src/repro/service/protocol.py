@@ -1,5 +1,8 @@
 """Length-prefixed binary wire framing for the ODM service (wire v2).
 
+Every message between :func:`~repro.service.server.serve_tcp` and
+:class:`~repro.service.server.ServiceClient`, each way, is one frame.
+
 Frame layout (struct-packed, big-endian)::
 
     0      1      2        3        4               8
@@ -8,29 +11,22 @@ Frame layout (struct-packed, big-endian)::
     +------+------+--------+--------+---------------+------------ - -
       magic (2B)     u8       u8         u32           length bytes
 
-* ``magic`` is the ASCII pair ``OD``.  A JSON text can never begin
-  with ``O`` (values start with ``{ [ " digit t f n`` or whitespace),
-  so a server reading a connection byte-by-byte can tell a v2 frame
-  from a legacy v1 newline-JSON line from the *first byte alone* —
-  which is how one port serves both protocols with per-message
-  granularity (mixed-version pipelining on a single connection works).
+* ``magic`` is the ASCII pair ``OD``.  Anything else — a newline-JSON
+  line included — is a bad header: framing is lost, so the server
+  answers with one error frame and closes the connection.
 * ``version`` is :data:`WIRE_VERSION`; the version byte of every frame
   is validated, so a future v3 client fails loudly instead of being
-  mis-parsed.  Legacy newline-JSON is retroactively "v1" — it has no
-  header at all.
+  mis-parsed.  (Version 1 was the retired newline-JSON framing.)
 * ``flags`` bit 0 (:data:`FLAG_MSGPACK`) is reserved for a msgpack
   payload codec this build does not speak: payloads are compact JSON
   (no whitespace, UTF-8), and a received frame with the bit set
   produces a structured error — never a crash.
 * ``length`` is the payload byte count.  Receivers enforce their own
   maximum and can skip an oversized frame *exactly* (the length is
-  known), keeping the connection usable — unlike v1, where an
-  oversized line forces a scan for the next newline.
+  known), keeping the connection usable.
 
-The payload of every frame is one JSON-able record — the same
-``{"op": ...}`` dicts v1 sends — so the two protocols differ only in
-framing, which is what the golden tests in
-``tests/service/test_protocol.py`` pin byte-for-byte.
+The payload of every frame is one JSON-able ``{"op": ...}`` record;
+the golden tests in ``tests/service/test_protocol.py`` pin the bytes.
 """
 
 from __future__ import annotations

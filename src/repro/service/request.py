@@ -18,7 +18,7 @@ allowed.
 
 Everything round-trips through plain-JSON dicts (``to_dict`` /
 ``from_dict``) so the same objects flow through the in-process API and
-the newline-delimited-JSON TCP protocol of ``repro serve``.
+the binary-framed TCP protocol of ``repro serve``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The asyncio online ODM service + its TCP JSON-lines front-end.
+"""The asyncio online ODM service + its TCP front-end.
 
 :class:`ODMService` turns the paper's batch Offloading Decision Manager
 into an online admission service:
@@ -20,17 +20,16 @@ The solver layer runs in a worker thread (``asyncio.to_thread``), so
 the event loop keeps accepting and shedding while a batch solves.
 
 :func:`serve_tcp` exposes the service on a TCP socket — the transport
-behind ``repro serve`` / ``repro loadgen`` — speaking both the legacy
-newline-delimited JSON (v1) and the length-prefixed binary framing of
-:mod:`repro.service.protocol` (v2), negotiated per message.
-Operations: ``admit``, ``admit_batch``, ``outcome``, ``window``,
-``gossip``, ``stats``, ``shutdown``.
+behind ``repro serve`` / ``repro loadgen`` — speaking the
+length-prefixed binary framing of :mod:`repro.service.protocol`;
+:class:`ServiceClient` is its one client.  Operations: ``admit``,
+``admit_batch``, ``outcome``, ``window``, ``gossip``, ``cache_sync``,
+``stats``, ``shutdown``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -48,7 +47,6 @@ from .batching import BatchPolicy, MicroBatcher
 from .degradation import DegradationLevel, DegradationPolicy
 from .protocol import (
     HEADER,
-    MAGIC,
     FrameError,
     decode_header,
     decode_payload,
@@ -387,7 +385,11 @@ class ODMService:
         Carries the signals a router or peer needs *before* the socket
         dies: queue watermark, degradation rung and per-server breaker
         states.  ``seq`` increases monotonically so receivers can
-        discard stale beacons regardless of arrival order.
+        discard stale beacons regardless of arrival order.  Only
+        breakers whose state rests on this replica's own outcome
+        evidence are advertised: re-advertising a gossiped ``open``
+        would echo one outage around the fleet, and a stale echo
+        re-trips the breaker of the replica that is probing recovery.
         """
         self._beacon_seq += 1
         depth = self._batcher.depth if self._batcher is not None else 0
@@ -400,6 +402,7 @@ class ODMService:
             "breakers": {
                 server_id: breaker.state
                 for server_id, breaker in sorted(self.health.breakers.items())
+                if not breaker.remote
             },
             "shed": self.observability.metrics.value("service.shed"),
         }
@@ -476,14 +479,6 @@ class ODMService:
             states=states,
             max_bytes=max_bytes,
         )
-
-    def absorb_cache_sync(
-        self, reply: Mapping[str, object]
-    ) -> Dict[str, int]:
-        """Fold a peer's ``cache_sync`` reply into the local cache."""
-        from ..fleet.cachetier import absorb_sync_reply
-
-        return absorb_sync_reply(self.cache, reply)
 
     # ------------------------------------------------------------------
     # batch processing
@@ -788,7 +783,7 @@ class ODMService:
 
 
 # ----------------------------------------------------------------------
-# TCP JSON-lines front-end
+# TCP front-end
 # ----------------------------------------------------------------------
 class TcpServerControl:
     """External handle over one running :func:`serve_tcp`.
@@ -817,104 +812,61 @@ class TcpServerControl:
             self._done.set()
 
 
-async def _drain_oversized_line(reader: asyncio.StreamReader) -> bool:
-    """Discard bytes up to and including the next newline; False on EOF.
-
-    ``readuntil`` raises ``LimitOverrunError`` both when the separator
-    is already buffered past the limit and when the buffer filled up
-    without one; either way ``exc.consumed`` bytes of junk are still
-    sitting in the buffer, so discard exactly those and rescan instead
-    of blindly reading (which could swallow the *next* valid line).
-    """
-    while True:
-        try:
-            await reader.readuntil(b"\n")
-            return True
-        except asyncio.IncompleteReadError:
-            return False
-        except asyncio.LimitOverrunError as exc:
-            try:
-                await reader.readexactly(max(exc.consumed, 1))
-            except asyncio.IncompleteReadError:
-                return False
-
-
 async def serve_tcp(
     service: ODMService,
     host: str = "127.0.0.1",
     port: int = 7741,
     duration: Optional[float] = None,
     ready_message: bool = True,
-    max_line: int = 1 << 20,
+    max_frame: int = 1 << 20,
     control: Optional[TcpServerControl] = None,
 ) -> None:
-    """Serve ``service`` over TCP until shutdown — v1 *and* v2 wire.
+    """Serve ``service`` over TCP until shutdown.
 
-    One port, two framings, negotiated per message by the first byte:
-    a :data:`~repro.service.protocol.MAGIC` byte opens a v2
-    length-prefixed binary frame (struct header + compact-JSON payload,
-    see :mod:`repro.service.protocol`); anything else
-    is a legacy v1 newline-delimited JSON line (no JSON text starts
-    with ``O``, so the dispatch is unambiguous).  Replies always use
-    the framing of the request they answer, so legacy clients keep
-    working unchanged and mixed-version pipelining on one connection
-    is well-defined.
+    Every message, each way, is one length-prefixed binary frame
+    (struct header + compact-JSON payload, see
+    :mod:`repro.service.protocol`).  Records are ``{"op": ...}``; ops:
+    ``admit`` (an :class:`AdmissionRequest` under ``"request"``),
+    ``admit_batch`` (a list under ``"requests"``, answered by one
+    vectorized ``batch_response``), ``outcome``
+    (``server``/``ok``/``time``), ``window`` (close one health window),
+    ``gossip`` (absorb an optional peer ``beacon``, reply with ours plus
+    a ``cache_digest`` advertisement when a cache is attached),
+    ``cache_sync`` (bulk warm-replication pull: serialized hot cache
+    entries + delta states the requester's ``have`` fingerprints lack,
+    budget- and size-capped — see :mod:`repro.fleet.cachetier`),
+    ``stats``, ``shutdown``.  Responses echo an ``op`` so pipelined
+    clients can demultiplex.  ``duration`` is a safety cap: the server
+    exits cleanly after that many seconds even without a shutdown op
+    (CI never hangs on a crashed client).
 
-    Records are ``{"op": ...}``; ops: ``admit`` (an
-    :class:`AdmissionRequest` under ``"request"``), ``admit_batch`` (a
-    list under ``"requests"``, answered by one vectorized
-    ``batch_response``), ``outcome`` (``server``/``ok``/``time``),
-    ``window`` (close one health window), ``gossip`` (absorb an
-    optional peer ``beacon``, reply with ours plus a ``cache_digest``
-    advertisement when a cache is attached), ``cache_sync`` (bulk
-    warm-replication pull: serialized hot cache entries + delta states
-    the requester's ``have`` fingerprints lack, budget- and
-    size-capped — see :mod:`repro.fleet.cachetier`), ``stats``,
-    ``shutdown``.  Responses echo an ``op`` so pipelined clients can
-    demultiplex.  ``duration`` is a safety cap: the server exits
-    cleanly after that many seconds even without a shutdown op (CI
-    never hangs on a crashed client).
-
-    Input hardening: malformed JSON, non-object records, unknown ops
-    and invalid op arguments each produce a structured
+    Input hardening: malformed payloads, non-object records, unknown
+    ops and invalid op arguments each produce a structured
     ``{"op": "error"}`` reply and a ``service.wire_error`` trace event
-    — never a killed connection task.  An oversized v1 line
-    (> ``max_line`` bytes) is scanned past; an oversized v2 frame is
-    skipped *exactly* (its length is declared) — both keep the
-    connection usable.  Only an unparseable v2 header (bad magic or
-    version) closes the connection: binary garbage cannot be resynced.
+    — never a killed connection task.  An oversized frame (>
+    ``max_frame`` payload bytes) is skipped *exactly* (its length is
+    declared), keeping the connection usable.  Only an unparseable
+    header — bad magic or version, which includes any bytes that are
+    not a frame at all — gets one error frame and closes the
+    connection: garbage cannot be resynced.
     """
     done = asyncio.Event()
     if control is not None:
         control._done = done
-    reg = service.observability.metrics
-    m_lines = reg.counter("service.wire_lines")
-    m_frames = reg.counter("service.wire_frames")
+    m_frames = service.observability.metrics.counter("service.wire_frames")
 
     async def handle(reader, writer) -> None:
         lock = asyncio.Lock()
         if control is not None:
             control._writers.add(writer)
 
-        async def reply(
-            payload: Dict[str, object], mode: Optional[int]
-        ) -> None:
-            """Send one record framed like the request it answers.
-
-            ``mode`` is ``None`` for v1 (JSON line) or the v2 frame's
-            flag byte; every v2 reply is a compact-JSON frame.
-            """
-            if mode is None:
-                data = json.dumps(payload).encode("utf-8") + b"\n"
-            else:
-                data = encode_frame(payload)
+        async def reply(payload: Dict[str, object]) -> None:
+            data = encode_frame(payload)
             async with lock:
                 writer.write(data)
                 await writer.drain()
 
-        async def wire_error(
-            message: str, mode: Optional[int]
-        ) -> None:
+        async def wire_error(message: str) -> None:
             bus = service.observability.bus
             if bus.enabled:
                 bus.emit(
@@ -922,26 +874,22 @@ async def serve_tcp(
                     service._outcome_clock,
                     error=message[:200],
                 )
-            await reply({"op": "error", "error": message}, mode)
+            await reply({"op": "error", "error": message})
 
-        async def admit(
-            record: Dict[str, object], mode: Optional[int]
-        ) -> None:
+        async def admit(record: Dict[str, object]) -> None:
             try:
                 request = AdmissionRequest.from_dict(record["request"])
             except (KeyError, TypeError, ValueError) as exc:
-                await wire_error(f"bad admit request: {exc}", mode)
+                await wire_error(f"bad admit request: {exc}")
                 return
             response = await service.submit(request)
-            await reply({"op": "response", **response.to_dict()}, mode)
+            await reply({"op": "response", **response.to_dict()})
 
-        async def admit_batch(
-            record: Dict[str, object], mode: Optional[int]
-        ) -> None:
+        async def admit_batch(record: Dict[str, object]) -> None:
             raw = record.get("requests")
             if not isinstance(raw, (list, tuple)) or not raw:
                 await wire_error(
-                    "admit_batch needs a non-empty 'requests' list", mode
+                    "admit_batch needs a non-empty 'requests' list"
                 )
                 return
             try:
@@ -949,7 +897,7 @@ async def serve_tcp(
                     AdmissionRequest.from_dict(item) for item in raw
                 ]
             except (KeyError, TypeError, ValueError) as exc:
-                await wire_error(f"bad admit_batch request: {exc}", mode)
+                await wire_error(f"bad admit_batch request: {exc}")
                 return
             responses = await asyncio.gather(
                 *(service.submit(request) for request in requests)
@@ -958,8 +906,7 @@ async def serve_tcp(
                 {
                     "op": "batch_response",
                     "responses": [r.to_dict() for r in responses],
-                },
-                mode,
+                }
             )
 
         async def skip_exactly(length: int) -> bool:
@@ -976,90 +923,38 @@ async def serve_tcp(
         try:
             while not done.is_set():
                 try:
-                    first = await reader.readexactly(1)
+                    header = await reader.readexactly(HEADER.size)
                 except asyncio.IncompleteReadError:
-                    break  # clean EOF between messages
-                if first == MAGIC[:1]:
-                    # ---- v2 length-prefixed binary frame ----
-                    try:
-                        header = first + await reader.readexactly(
-                            HEADER.size - 1
-                        )
-                    except asyncio.IncompleteReadError:
-                        break  # truncated header at EOF
-                    try:
-                        _, flags, length = decode_header(header)
-                    except FrameError as exc:
-                        # bad magic/version: framing is lost for good
-                        await wire_error(str(exc), 0)
+                    break  # EOF between frames or inside a header
+                try:
+                    _, flags, length = decode_header(header)
+                except FrameError as exc:
+                    # bad magic/version: framing is lost for good
+                    await wire_error(str(exc))
+                    break
+                if length > max_frame:
+                    if not await skip_exactly(length):
                         break
-                    if length > max_line:
-                        if not await skip_exactly(length):
-                            break
-                        await wire_error(
-                            f"frame exceeds maximum length "
-                            f"({max_line} bytes)",
-                            flags,
-                        )
-                        continue
-                    try:
-                        payload = await reader.readexactly(length)
-                    except asyncio.IncompleteReadError:
-                        break  # truncated payload at EOF
-                    try:
-                        record = decode_payload(flags, payload)
-                    except FrameError as exc:
-                        await wire_error(str(exc), flags)
-                        continue
-                    mode: Optional[int] = flags
-                    m_frames.inc()
-                else:
-                    # ---- legacy v1 newline-JSON line ----
-                    try:
-                        # readuntil (not readline): on overrun, readline
-                        # silently eats the junk when its newline is
-                        # already buffered, leaving the drain to swallow
-                        # the *next* valid request — readuntil leaves
-                        # the buffer alone
-                        line = first + await reader.readuntil(b"\n")
-                    except asyncio.IncompleteReadError as exc:
-                        # EOF; final unterminated record
-                        line = first + exc.partial
-                    except asyncio.LimitOverrunError:
-                        if not await _drain_oversized_line(reader):
-                            break
-                        await wire_error(
-                            f"line exceeds maximum length "
-                            f"({max_line} bytes)",
-                            None,
-                        )
-                        continue
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        await wire_error(str(exc), None)
-                        continue
-                    if not isinstance(record, dict):
-                        await wire_error(
-                            "request must be a JSON object with an "
-                            "'op' field",
-                            None,
-                        )
-                        continue
-                    mode = None
-                    m_lines.inc()
+                    await wire_error(
+                        f"frame exceeds maximum length "
+                        f"({max_frame} bytes)"
+                    )
+                    continue
+                try:
+                    payload = await reader.readexactly(length)
+                except asyncio.IncompleteReadError:
+                    break  # truncated payload at EOF
+                try:
+                    record = decode_payload(flags, payload)
+                except FrameError as exc:
+                    await wire_error(str(exc))
+                    continue
+                m_frames.inc()
                 op = record.get("op")
                 if op == "admit":
-                    tasks.append(
-                        asyncio.create_task(admit(record, mode))
-                    )
+                    tasks.append(asyncio.create_task(admit(record)))
                 elif op == "admit_batch":
-                    tasks.append(
-                        asyncio.create_task(admit_batch(record, mode))
-                    )
+                    tasks.append(asyncio.create_task(admit_batch(record)))
                 elif op == "outcome":
                     try:
                         service.record_outcome(
@@ -1068,16 +963,15 @@ async def serve_tcp(
                             record.get("time"),
                         )
                     except (KeyError, TypeError, ValueError) as exc:
-                        await wire_error(f"bad outcome: {exc}", mode)
+                        await wire_error(f"bad outcome: {exc}")
                         continue
-                    await reply({"op": "ack"}, mode)
+                    await reply({"op": "ack"})
                 elif op == "window":
                     await reply(
                         {
                             "op": "window",
                             "breakers": service.close_health_window(),
-                        },
-                        mode,
+                        }
                     )
                 elif op == "gossip":
                     beacon = record.get("beacon")
@@ -1089,7 +983,7 @@ async def serve_tcp(
                             TypeError,
                             ValueError,
                         ) as exc:
-                            await wire_error(f"bad beacon: {exc}", mode)
+                            await wire_error(f"bad beacon: {exc}")
                             continue
                     gossip_reply: Dict[str, object] = {
                         "op": "gossip",
@@ -1098,7 +992,7 @@ async def serve_tcp(
                     digest = service.cache_digest()
                     if digest is not None:
                         gossip_reply["cache_digest"] = digest
-                    await reply(gossip_reply, mode)
+                    await reply(gossip_reply)
                 elif op == "cache_sync":
                     try:
                         sync = service.cache_sync_reply(
@@ -1108,18 +1002,16 @@ async def serve_tcp(
                             max_bytes=record.get("max_bytes"),
                         )
                     except (TypeError, ValueError) as exc:
-                        await wire_error(
-                            f"bad cache_sync: {exc}", mode
-                        )
+                        await wire_error(f"bad cache_sync: {exc}")
                         continue
-                    await reply({"op": "cache_sync", **sync}, mode)
+                    await reply({"op": "cache_sync", **sync})
                 elif op == "stats":
-                    await reply({"op": "stats", **service.stats()}, mode)
+                    await reply({"op": "stats", **service.stats()})
                 elif op == "shutdown":
-                    await reply({"op": "bye"}, mode)
+                    await reply({"op": "bye"})
                     done.set()
                 else:
-                    await wire_error(f"unknown op {op!r}", mode)
+                    await wire_error(f"unknown op {op!r}")
         except (ConnectionError, OSError):
             pass  # peer vanished mid-read/write; nothing to answer
         finally:
@@ -1135,7 +1027,7 @@ async def serve_tcp(
 
     await service.start()
     server = await asyncio.start_server(
-        handle, host=host, port=port, limit=max_line
+        handle, host=host, port=port, limit=max_frame
     )
     sockets = server.sockets or ()
     bound_port = sockets[0].getsockname()[1] if sockets else port
@@ -1159,18 +1051,11 @@ async def serve_tcp(
 
 
 # ----------------------------------------------------------------------
-# pipelined JSON-lines client
+# pipelined client
 # ----------------------------------------------------------------------
 class ServiceClient:
-    """Async client for :func:`serve_tcp` — v2 binary by default.
-
-    ``protocol="binary"`` (default) speaks the length-prefixed v2
-    framing of :mod:`repro.service.protocol`.  ``protocol="json"``
-    reproduces the legacy v1 newline-JSON client byte-for-byte — the
-    regression pin in the protocol tests drives this mode against a
-    current server.  Replies are sniffed per message, so either client
-    mode works against any server and mixed pipelining demultiplexes
-    cleanly.
+    """Async client for :func:`serve_tcp` — its one client: loadgen,
+    the fleet router, gossip agents and cache pulls all use it.
 
     Pipelines ``admit`` ops (responses are demultiplexed by
     ``request_id``), batches whole bursts via :meth:`submit_batch`,
@@ -1192,16 +1077,10 @@ class ServiceClient:
         host: str = "127.0.0.1",
         port: int = 7741,
         default_timeout: Optional[float] = None,
-        protocol: str = "binary",
     ) -> None:
-        if protocol not in ("binary", "json"):
-            raise ValueError(
-                f"protocol must be 'binary' or 'json', got {protocol!r}"
-            )
         self.host = host
         self.port = port
         self.default_timeout = default_timeout
-        self.protocol = protocol
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
@@ -1267,37 +1146,19 @@ class ServiceClient:
     # receive loop
     # ------------------------------------------------------------------
     async def _read_record(self) -> Optional[Dict[str, object]]:
-        """One reply record, whichever framing the server used.
+        """One reply frame's record; ``None`` at EOF.
 
-        ``None`` means clean EOF; a garbled v1 line is skipped (stream
-        still framed by newlines); a garbled v2 frame raises
+        A garbled frame raises
         :class:`~repro.service.protocol.FrameError` (framing is lost).
         """
         assert self._reader is not None
-        while True:
-            try:
-                first = await self._reader.readexactly(1)
-            except asyncio.IncompleteReadError:
-                return None
-            if first == MAGIC[:1]:
-                header = first + await self._reader.readexactly(
-                    HEADER.size - 1
-                )
-                _, flags, length = decode_header(header)
-                payload = await self._reader.readexactly(length)
-                return decode_payload(flags, payload)
-            try:
-                line = first + await self._reader.readuntil(b"\n")
-            except asyncio.IncompleteReadError as exc:
-                line = first + exc.partial
-                if not line.strip():
-                    return None
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # garbled reply line; keep the stream alive
-            if isinstance(record, dict):
-                return record
+        try:
+            header = await self._reader.readexactly(HEADER.size)
+        except asyncio.IncompleteReadError:
+            return None
+        _, flags, length = decode_header(header)
+        payload = await self._reader.readexactly(length)
+        return decode_payload(flags, payload)
 
     async def _dispatch(self) -> None:
         cause: Optional[BaseException] = None
@@ -1344,10 +1205,7 @@ class ServiceClient:
             raise self._lost
         if self._writer is None:
             raise ConnectionLost("client is not connected")
-        if self.protocol == "binary":
-            data = encode_frame(payload)
-        else:
-            data = json.dumps(payload).encode("utf-8") + b"\n"
+        data = encode_frame(payload)
         try:
             async with self._lock:
                 self._writer.write(data)
@@ -1470,12 +1328,20 @@ class ServiceClient:
         beacon: Optional[Dict[str, object]] = None,
         timeout: Optional[float] = None,
     ) -> Dict[str, object]:
-        """Exchange beacons: push ``beacon`` (if any), pull the peer's."""
+        """Exchange beacons: push ``beacon`` (if any), pull the peer's.
+
+        Returns the whole reply: the peer's ``beacon`` plus, when it
+        runs a cache, its ``cache_digest`` advertisement.
+        """
         payload: Dict[str, object] = {"op": "gossip"}
         if beacon is not None:
             payload["beacon"] = beacon
         record = await self._call(payload, timeout=timeout)
-        return dict(record.get("beacon") or {})
+        if not isinstance(record.get("beacon"), Mapping):
+            raise ValueError(
+                f"gossip reply carries no beacon: {record.get('error', '')}"
+            )
+        return {k: v for k, v in record.items() if k != "op"}
 
     async def cache_sync(
         self,

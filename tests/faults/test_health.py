@@ -193,6 +193,17 @@ class TestCircuitBreakerApplyRemote:
         breaker.apply_remote("open")
         assert breaker.apply_remote("half_open") == "open"
 
+    def test_gossiped_state_is_remote_until_local_evidence(self):
+        breaker = CircuitBreaker(min_samples=2, cooldown_windows=1)
+        assert not breaker.remote
+        breaker.apply_remote("open", window=0)
+        assert breaker.remote
+        breaker.record_window(1, successes=0, failures=0)  # cooldown
+        assert breaker.state == "half_open" and breaker.remote
+        # the probe's own evidence makes the state local again
+        breaker.record_window(2, successes=3, failures=0)
+        assert breaker.state == "closed" and not breaker.remote
+
     def test_unknown_remote_state_rejected(self):
         with pytest.raises(ValueError, match="remote breaker state"):
             CircuitBreaker().apply_remote("exploded")

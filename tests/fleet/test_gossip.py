@@ -2,16 +2,19 @@
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.faults import ReplicaProcess
 from repro.fleet import (
+    CacheReplicator,
     GossipAgent,
     GossipState,
     HealthBeacon,
     worst_breaker_state,
 )
-from repro.service import BatchPolicy, ODMService
+from repro.service import AdmissionRequest, BatchPolicy, ODMService
+from repro.workloads.generator import random_offloading_task_set
 
 
 def make_replica(replica_id):
@@ -52,6 +55,31 @@ class TestHealthBeacon:
         assert beacon.replica_id == "replica-0"
         assert beacon.seq >= 1
         assert beacon.level == "exact"
+
+    def test_gossiped_open_is_not_echoed_back(self):
+        """A breaker tripped by gossip is not re-advertised, so a stale
+        echo cannot re-trip the probing breaker it came from."""
+
+        async def scenario():
+            kwargs = {"min_samples": 2, "cooldown_windows": 1}
+            async with ODMService(
+                workers=1, replica_id="a", breaker_kwargs=kwargs
+            ) as a, ODMService(
+                workers=1, replica_id="b", breaker_kwargs=kwargs
+            ) as b:
+                for _ in range(3):
+                    a.record_outcome("flaky", False)
+                assert a.close_health_window()["flaky"] == "open"
+                b.absorb_beacon(a.beacon())
+                echo = b.beacon()
+                assert a.close_health_window()["flaky"] == "half_open"
+                a.absorb_beacon(echo)
+                return b.breaker_state("flaky"), echo, a.breaker_state("flaky")
+
+        b_state, echo, a_state = asyncio.run(scenario())
+        assert b_state == "open"
+        assert "flaky" not in echo["breakers"]
+        assert a_state == "half_open"
 
     def test_malformed_breakers_rejected(self):
         with pytest.raises(ValueError, match="breakers"):
@@ -131,6 +159,46 @@ class TestGossipAgent:
         assert state == "open"
         assert stats["exchanges"] == 1
         assert stats["unreachable"] == 0
+
+    def test_round_pulls_a_warm_peer_cache(self):
+        async def scenario():
+            a, b = make_replica("replica-a"), make_replica("replica-b")
+            await a.start()
+            await b.start()
+            try:
+                # replica-a serves traffic, so its cache is warm
+                for seed in range(3):
+                    tasks = random_offloading_task_set(
+                        np.random.default_rng(seed),
+                        num_tasks=3,
+                        total_utilization=0.5,
+                    )
+                    await a.service.submit(
+                        AdmissionRequest(
+                            request_id=f"warm-{seed}",
+                            tasks=tasks,
+                            server_estimates={"edge": 1.0},
+                        )
+                    )
+                assert len(a.service.cache) > 0
+                assert len(b.service.cache) == 0
+                agent = GossipAgent(
+                    b.service,
+                    peers={"replica-a": a.address},
+                    replicator=CacheReplicator(b.service.cache),
+                )
+                await agent.run_round()
+                return agent.stats(), len(b.service.cache)
+            finally:
+                await a.stop()
+                await b.stop()
+
+        stats, cached = asyncio.run(scenario())
+        assert stats["unreachable"] == 0
+        assert stats["exchanges"] == 1
+        assert stats["cache_tier"]["sync_rounds"] == 1
+        assert stats["cache_tier"]["entries_absorbed"] > 0
+        assert cached == stats["cache_tier"]["entries_absorbed"]
 
     def test_dead_peer_never_stalls_a_round(self):
         async def scenario():

@@ -1,6 +1,6 @@
 """TCP wire protocol: serve_tcp <-> ServiceClient round-trips over a
 real socket, including error replies and clean shutdown — plus the
-binary-framing (wire v2) golden corpus and adversarial frame suite.
+binary-framing golden corpus and adversarial frame suite.
 
 The golden constants below are COMMITTED BYTES, not recomputed: they
 pin the wire format itself.  If a refactor changes them, old clients
@@ -35,15 +35,15 @@ from repro.service import (
 from repro.service.protocol import decode_header, decode_payload
 from repro.workloads.generator import random_offloading_task_set
 
-#: One committed frame per protocol version for ``{"op": "stats"}``.
+#: Committed frames for ``{"op": "stats"}`` and ``{"op": "shutdown"}``.
 GOLDEN_V2_STATS = bytes.fromhex(
     "4f4402000000000e7b226f70223a227374617473227d"
 )
 GOLDEN_V2_SHUTDOWN = bytes.fromhex(
     "4f440200000000117b226f70223a2273687574646f776e227d"
 )
-GOLDEN_V1_STATS = b'{"op":"stats"}\n'
-GOLDEN_V1_SHUTDOWN = b'{"op":"shutdown"}\n'
+#: What a newline-JSON client would send: not a frame, so not served.
+NEWLINE_JSON_STATS = b'{"op":"stats"}\n'
 
 
 def free_port():
@@ -124,32 +124,42 @@ def test_full_client_round_trip():
     assert "cache" in stats and "breakers" in stats
 
 
+async def framed_exchange(port, payloads):
+    """Send each raw frame payload in order on one connection and
+    collect one reply frame per payload."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    replies = []
+    for payload in payloads:
+        writer.write(
+            HEADER.pack(MAGIC, WIRE_VERSION, 0, len(payload)) + payload
+        )
+        await writer.drain()
+        replies.append(await read_v2_frame(reader))
+    writer.close()
+    await writer.wait_closed()
+    return replies
+
+
 def test_wire_errors_do_not_kill_the_connection():
     async def scenario():
         port = free_port()
         serve_task = await serving(port)
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-
-        async def call(line):
-            writer.write(line + b"\n")
-            await writer.drain()
-            return json.loads(await reader.readline())
-
-        bad_json = await call(b"{not json")
-        unknown = await call(b'{"op": "frobnicate"}')
-        bad_admit = await call(b'{"op": "admit"}')
-        # the connection survives all three and still serves
         request = make_request("alive")
-        good = await call(
-            json.dumps(
-                {"op": "admit", "request": request.to_dict()}
-            ).encode()
+        replies = await framed_exchange(
+            port,
+            [
+                b"{not json",
+                b'{"op": "frobnicate"}',
+                b'{"op": "admit"}',
+                # the connection survives all three and still serves
+                json.dumps(
+                    {"op": "admit", "request": request.to_dict()}
+                ).encode(),
+                b'{"op": "shutdown"}',
+            ],
         )
-        bye = await call(b'{"op": "shutdown"}')
-        writer.close()
-        await writer.wait_closed()
         await asyncio.wait_for(serve_task, timeout=10.0)
-        return bad_json, unknown, bad_admit, good, bye
+        return replies
 
     bad_json, unknown, bad_admit, good, bye = asyncio.run(scenario())
     assert bad_json["op"] == "error"
@@ -162,68 +172,19 @@ def test_wire_errors_do_not_kill_the_connection():
     assert bye["op"] == "bye"
 
 
-def test_oversized_line_is_rejected_but_the_connection_survives():
-    async def scenario():
-        port = free_port()
-        service = make_service()
-        obs = Observability.enabled(profile=False)
-        service.observability = obs
-        serve_task = await serving(port, service=service, max_line=8192)
-        reader, writer = await asyncio.open_connection(
-            "127.0.0.1", port, limit=1 << 20
-        )
-
-        async def call(line):
-            writer.write(line + b"\n")
-            await writer.drain()
-            return json.loads(await reader.readline())
-
-        huge = await call(
-            b'{"op": "admit", "pad": "' + b"x" * 65536 + b'"}'
-        )
-        # the connection drained the junk and still serves
-        request = make_request("survivor")
-        good = await call(
-            json.dumps(
-                {"op": "admit", "request": request.to_dict()}
-            ).encode()
-        )
-        await call(b'{"op": "shutdown"}')
-        writer.close()
-        await writer.wait_closed()
-        await asyncio.wait_for(serve_task, timeout=10.0)
-        return huge, good, obs.bus.events("service.wire_error")
-
-    huge, good, events = asyncio.run(scenario())
-    assert huge["op"] == "error"
-    assert "maximum length" in huge["error"]
-    assert good["op"] == "response"
-    assert good["request_id"] == "survivor"
-    assert len(events) == 1
-
-
 def test_non_object_json_record_is_a_wire_error():
     async def scenario():
         port = free_port()
         serve_task = await serving(port)
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-
-        async def call(line):
-            writer.write(line + b"\n")
-            await writer.drain()
-            return json.loads(await reader.readline())
-
-        array = await call(b"[1, 2, 3]")
-        scalar = await call(b'"admit"')
-        bye = await call(b'{"op": "shutdown"}')
-        writer.close()
-        await writer.wait_closed()
+        replies = await framed_exchange(
+            port, [b"[1, 2, 3]", b'"admit"', b'{"op": "shutdown"}']
+        )
         await asyncio.wait_for(serve_task, timeout=10.0)
-        return array, scalar, bye
+        return replies
 
     array, scalar, bye = asyncio.run(scenario())
     assert array["op"] == "error"
-    assert "JSON object" in array["error"]
+    assert "object" in array["error"]
     assert scalar["op"] == "error"
     assert bye["op"] == "bye"
 
@@ -234,12 +195,14 @@ def test_gossip_op_returns_the_replica_beacon():
         serve_task = await serving(port)
         async with ServiceClient(port=port) as client:
             await client.record_outcome("edge", True, 1.0)
-            beacon = await client.gossip()
+            reply = await client.gossip()
             await client.shutdown()
         await asyncio.wait_for(serve_task, timeout=10.0)
-        return beacon
+        return reply
 
-    beacon = asyncio.run(scenario())
+    reply = asyncio.run(scenario())
+    beacon = reply["beacon"]
+    assert reply["cache_digest"]["entries"] == 0
     assert beacon["replica_id"] == "replica-0"
     assert beacon["seq"] >= 1
     assert beacon["breakers"] == {"edge": "closed"}
@@ -385,50 +348,18 @@ class TestGoldenFrames:
         with pytest.raises(FrameError, match="object"):
             decode_frame(encode_frame({})[:4] + b"\x00\x00\x00\x03[1]")
 
-    def test_golden_frames_drive_a_live_server_mixed_with_v1(self):
-        """Mixed-version pipelining: v1 line, v2 frame, v1 line, v2
-        shutdown on ONE connection — each reply in its request's
-        framing."""
-
-        async def scenario():
-            port = free_port()
-            serve_task = await serving(port)
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", port
-            )
-            writer.write(
-                GOLDEN_V1_STATS + GOLDEN_V2_STATS + GOLDEN_V1_STATS
-                + GOLDEN_V2_SHUTDOWN
-            )
-            await writer.drain()
-            line1 = json.loads(await reader.readline())
-            framed = await read_v2_frame(reader)
-            line2 = json.loads(await reader.readline())
-            bye = await read_v2_frame(reader)
-            assert await reader.read() == b""  # server closed after bye
-            writer.close()
-            await writer.wait_closed()
-            await asyncio.wait_for(serve_task, timeout=10.0)
-            return line1, framed, line2, bye
-
-        line1, framed, line2, bye = asyncio.run(scenario())
-        for reply in (line1, framed, line2):
-            assert reply["op"] == "stats"
-            assert "requests" in reply
-        assert bye == {"op": "bye"}
-
 
 # ----------------------------------------------------------------------
 # wire v2: adversarial frames
 # ----------------------------------------------------------------------
 class TestAdversarialFrames:
-    def run_raw(self, payload_bytes, *, max_line=1 << 20, reads=1):
+    def run_raw(self, payload_bytes, *, max_frame=1 << 20, reads=1):
         """Send raw bytes to a live server; collect ``reads`` v2
         replies, then check the server still serves a fresh client."""
 
         async def scenario():
             port = free_port()
-            serve_task = await serving(port, max_line=max_line)
+            serve_task = await serving(port, max_frame=max_frame)
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", port, limit=1 << 21
             )
@@ -484,7 +415,7 @@ class TestAdversarialFrames:
         land exactly on the next frame — connection stays usable."""
         junk = HEADER.pack(MAGIC, WIRE_VERSION, 0, 65536) + b"j" * 65536
         replies, eof, _ = self.run_raw(
-            junk + GOLDEN_V2_STATS, max_line=8192, reads=2
+            junk + GOLDEN_V2_STATS, max_frame=8192, reads=2
         )
         assert replies[0]["op"] == "error"
         assert "maximum length" in replies[0]["error"]
@@ -496,6 +427,14 @@ class TestAdversarialFrames:
         assert replies[0]["op"] == "error"
         assert replies[1]["op"] == "stats"
 
+    def test_newline_json_gets_one_bad_magic_error_and_eof(self):
+        """The server speaks frames only: a newline-JSON request is a
+        bad header, answered by one error frame before the close."""
+        replies, eof, _ = self.run_raw(NEWLINE_JSON_STATS, reads=1)
+        assert replies[0]["op"] == "error"
+        assert "magic" in replies[0]["error"]
+        assert eof
+
     def test_msgpack_flag_without_msgpack_is_a_structured_error(self):
         frame = HEADER.pack(MAGIC, WIRE_VERSION, FLAG_MSGPACK, 2) + b"{}"
         replies, _, _ = self.run_raw(frame + GOLDEN_V2_STATS, reads=2)
@@ -505,10 +444,9 @@ class TestAdversarialFrames:
 
 
 # ----------------------------------------------------------------------
-# client modes: legacy v1 regression pin + batch admission
+# client round trips + batch admission
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("protocol", ["binary", "json"])
-def test_client_round_trip_in_both_protocols(protocol):
+def test_client_round_trip_counts_frames():
     async def scenario():
         port = free_port()
         obs = Observability.enabled(profile=False)
@@ -520,33 +458,25 @@ def test_client_round_trip_in_both_protocols(protocol):
             observability=obs,
         )
         serve_task = await serving(port, service=service)
-        async with ServiceClient(port=port, protocol=protocol) as client:
+        async with ServiceClient(port=port) as client:
             response = await client.submit(make_request("pinned"))
             stats = await client.stats()
             await client.shutdown()
         await asyncio.wait_for(serve_task, timeout=10.0)
-        lines = obs.metrics.value("service.wire_lines")
-        frames = obs.metrics.value("service.wire_frames")
-        return response, stats, lines, frames
+        return response, stats, obs.metrics.value("service.wire_frames")
 
-    response, stats, lines, frames = asyncio.run(scenario())
+    response, stats, frames = asyncio.run(scenario())
     assert response.request_id == "pinned"
     assert response.admitted
     assert stats["requests"] == 1
-    # the framing actually used is observable, so the legacy pin cannot
-    # silently start speaking v2
-    if protocol == "json":
-        assert lines >= 3 and frames == 0
-    else:
-        assert frames >= 3 and lines == 0
+    assert frames == 3  # admit, stats, shutdown
 
 
-@pytest.mark.parametrize("protocol", ["binary", "json"])
-def test_submit_batch_round_trip(protocol):
+def test_submit_batch_round_trip():
     async def scenario():
         port = free_port()
         serve_task = await serving(port)
-        async with ServiceClient(port=port, protocol=protocol) as client:
+        async with ServiceClient(port=port) as client:
             empty = await client.submit_batch([])
             requests = [
                 make_request(f"b{i}", seed=i) for i in range(6)
