@@ -11,22 +11,17 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.benefit import BenefitFunction, BenefitPoint
+from repro.core.benefit import scale_response_times
 from repro.core.task import TaskSet
 from repro.runtime.adaptive import AdaptiveOffloadingSystem
 from repro.vision.tasks import table1_task_set
 
 
 def _optimistic(factor: float) -> TaskSet:
-    beliefs = TaskSet()
-    for task in table1_task_set():
-        points = [task.benefit.points[0]] + [
-            BenefitPoint(p.response_time * factor, p.benefit,
-                         p.setup_time, p.compensation_time, p.label)
-            for p in task.benefit.points[1:]
-        ]
-        beliefs.add(replace(task, benefit=BenefitFunction(points)))
-    return beliefs
+    return TaskSet(
+        replace(task, benefit=scale_response_times(task.benefit, factor))
+        for task in table1_task_set()
+    )
 
 
 @pytest.mark.benchmark(group="extension-adaptive")

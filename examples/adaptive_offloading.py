@@ -17,7 +17,7 @@ Run:  python examples/adaptive_offloading.py
 
 from dataclasses import replace
 
-from repro.core.benefit import BenefitFunction, BenefitPoint
+from repro.core.benefit import scale_response_times
 from repro.core.task import TaskSet
 from repro.runtime.adaptive import AdaptiveOffloadingSystem
 from repro.vision.tasks import table1_task_set
@@ -25,15 +25,10 @@ from repro.vision.tasks import table1_task_set
 
 def optimistic_beliefs(factor: float) -> TaskSet:
     """The Table 1 task set with response times scaled by ``factor``."""
-    beliefs = TaskSet()
-    for task in table1_task_set():
-        points = [task.benefit.points[0]] + [
-            BenefitPoint(p.response_time * factor, p.benefit,
-                         p.setup_time, p.compensation_time, p.label)
-            for p in task.benefit.points[1:]
-        ]
-        beliefs.add(replace(task, benefit=BenefitFunction(points)))
-    return beliefs
+    return TaskSet(
+        replace(task, benefit=scale_response_times(task.benefit, factor))
+        for task in table1_task_set()
+    )
 
 
 def main() -> None:

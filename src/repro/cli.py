@@ -192,18 +192,15 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 def _cmd_adaptive(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
-    from .core.benefit import BenefitFunction, BenefitPoint
+    from .core.benefit import scale_response_times
     from .core.task import TaskSet
     from .runtime.adaptive import AdaptiveOffloadingSystem
 
-    beliefs = TaskSet()
-    for task in table1_task_set():
-        points = [task.benefit.points[0]] + [
-            BenefitPoint(p.response_time * args.belief_scale, p.benefit,
-                         p.setup_time, p.compensation_time, p.label)
-            for p in task.benefit.points[1:]
-        ]
-        beliefs.add(replace(task, benefit=BenefitFunction(points)))
+    beliefs = TaskSet(
+        replace(task, benefit=scale_response_times(
+            task.benefit, args.belief_scale))
+        for task in table1_task_set()
+    )
     system = AdaptiveOffloadingSystem(
         beliefs, scenario=args.scenario, seed=args.seed,
         window=args.window,
@@ -442,11 +439,9 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         f"reclosed={report.breaker_reclosed}"
     )
     print(
-        f"latency p50/p99: batched {latency['batched_p50'] * 1e3:.2f}/"
-        f"{latency['batched_p99'] * 1e3:.2f} ms vs serial "
-        f"{latency['serial_p50'] * 1e3:.2f}/"
-        f"{latency['serial_p99'] * 1e3:.2f} ms "
-        f"(p99 speedup {latency['p99_speedup']:.2f}x)"
+        f"service latency p50/p99 (enqueue to resolve): "
+        f"{latency['service_p50'] * 1e3:.2f}/"
+        f"{latency['service_p99'] * 1e3:.2f} ms"
     )
     print(
         f"audit: {report.anomaly_count} anomalies "
@@ -504,7 +499,8 @@ def _cmd_fleet_campaign(args: argparse.Namespace) -> int:
         f"({router['hedge_wins']} won), {report.dedup_hits} dedup hits"
     )
     print(
-        f"fleet latency p50/p99: {latency['fleet_p50'] * 1e3:.2f}/"
+        f"fleet latency p50/p99 (caller wait on the router): "
+        f"{latency['fleet_p50'] * 1e3:.2f}/"
         f"{latency['fleet_p99'] * 1e3:.2f} ms; "
         f"shed rate {record['shed_rate']:.3f}"
     )

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["BenefitPoint", "BenefitFunction"]
+__all__ = ["BenefitPoint", "BenefitFunction", "scale_response_times"]
 
 
 @dataclass(frozen=True)
@@ -300,3 +300,35 @@ class BenefitFunction:
             f"({p.response_time:.4g}->{p.benefit:.4g})" for p in self._points
         )
         return f"BenefitFunction[{inner}]"
+
+
+def scale_response_times(
+    fn: BenefitFunction, factor: float
+) -> BenefitFunction:
+    """Stretch every non-local candidate ``r_{i,j}`` by ``factor``.
+
+    The one response-time stretch: the service scales by a request's
+    per-server estimate, the adaptive runtime by its learned correction.
+    The local ``r = 0`` point is untouched (local execution does not
+    depend on any server).  ``factor`` must be positive; 1.0 returns the
+    function unchanged.  Scaling is monotone, so ordering and the
+    non-decreasing benefit values survive and construction re-validation
+    cannot fail.
+    """
+    if factor <= 0:
+        raise ValueError(f"estimate scale must be positive, got {factor}")
+    if factor == 1.0:
+        return fn
+    return BenefitFunction(
+        p
+        if p.is_local
+        else BenefitPoint(
+            p.response_time * factor,
+            p.benefit,
+            p.setup_time,
+            p.compensation_time,
+            p.label,
+            p.energy,
+        )
+        for p in fn.points
+    )

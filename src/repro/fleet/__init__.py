@@ -23,9 +23,11 @@ re-audited by the campaign:
   entries and delta states between replicas (gossip-piggybacked
   digests + budgeted binary ``cache_sync`` pulls), so restarted and
   scaled-out replicas start warm;
-* :mod:`repro.fleet.scale` — the sustained open-loop load harness
-  behind ``repro fleet-scale``: replica-count × arrival-rate sweeps
-  plus the warm-vs-cold restart comparison, results in
+* :mod:`repro.fleet.scale` — the one fleet boot
+  (:class:`~repro.fleet.scale.Fleet`: replicas + gossip + router, kill
+  and restart) and the sustained open-loop load harness behind
+  ``repro fleet-scale``: replica-count × arrival-rate sweeps plus the
+  warm-vs-cold restart comparison, results in
   ``BENCH_fleet_scale.json``.
 """
 

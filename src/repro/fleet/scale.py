@@ -4,8 +4,9 @@
 campaign (:mod:`repro.fleet.campaign`) deliberately doesn't ask:
 
 * **Throughput/latency curves.**  For every ``replica_count ×
-  rate_multiplier`` cell, a fresh fleet is booted (replicas + gossip +
-  cache tier + failover router) and a seeded scaled-Poisson open-loop
+  rate_multiplier`` cell, a fresh :class:`Fleet` is booted (replicas +
+  gossip + cache tier + failover router; the campaign boots its fleet
+  through the same class) and a seeded scaled-Poisson open-loop
   trace (:func:`repro.service.loadgen.run_open_loop`) is fired through
   the router.  Arrival times are fixed before the run, so saturation
   shows up honestly as queueing latency and shed — never as a silently
@@ -32,19 +33,18 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import json
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
-from ..faults.process import ReplicaProcess
+from ..faults.process import LinkChaos, ReplicaProcess
 from ..observability import Observability
 from ..observability.metrics import percentile
-from ..service.audit import audit_response
 from ..service.batching import BatchPolicy
 from ..service.loadgen import (
     OpenLoopConfig,
     OpenLoopReport,
+    ResponseTally,
     generate_open_loop,
     run_open_loop,
 )
@@ -62,32 +62,36 @@ __all__ = [
 ]
 
 
+#: router tunables of the sweep fleets; no hedging, so every latency
+#: is one replica's answer
+REQUEST_TIMEOUT = 10.0
+MAX_ATTEMPTS = 3
+PROBE_INTERVAL = 0.05
+GOSSIP_INTERVAL = 0.02
+#: max explicit ``cache_sync`` pulls the restarted warm replica may
+#: issue (the loop stops early once a pull comes back dry)
+WARM_SYNC_ROUNDS = 8
+#: a probe is "recovered" once its latency is within this factor of
+#: the replica's own calibrated steady-state burst p99
+STEADY_MARGIN = 1.5
+
+
 @dataclass(frozen=True)
 class FleetScaleConfig:
     """Knobs of one reproducible fleet-scale sweep."""
 
     seed: int = 0
     replica_counts: Tuple[int, ...] = (1, 2, 3)
+    #: multipliers of the open-loop base rate (see OpenLoopConfig)
     rate_multipliers: Tuple[float, ...] = (1.0, 4.0, 16.0)
-    #: base offered rate in req/s-equivalent (see OpenLoopConfig)
-    base_rate: float = 10_000.0
     requests_per_cell: int = 96
-    dispatch_scale: float = 0.01
     churn_rate: float = 0.2
     unique_sets: int = 10
     num_tasks: int = 5
     policy: str = "least_loaded"
-    request_timeout: float = 10.0
-    max_attempts: int = 3
-    probe_interval: float = 0.05
-    gossip_interval: float = 0.02
     resolution: int = 20_000
-    queue_capacity: int = 64
     cache_tier: bool = True
     tier: CacheTierConfig = field(default_factory=CacheTierConfig)
-    #: max explicit ``cache_sync`` pulls the restarted warm replica
-    #: may issue (the loop stops early once a pull comes back dry)
-    warm_sync_rounds: int = 8
     #: probe sequence length of the restart comparison
     restart_probes: int = 48
     #: tasks per request in the restart arms only.  Heavier than the
@@ -98,9 +102,6 @@ class FleetScaleConfig:
     #: the task count where equal-value DP ties start to diverge from
     #: the audit's reference solver on the seeded trace)
     restart_num_tasks: int = 20
-    #: a probe is "recovered" once its latency is within this factor
-    #: of the replica's own calibrated steady-state burst p99
-    steady_margin: float = 1.5
 
     def __post_init__(self) -> None:
         if not self.replica_counts or min(self.replica_counts) < 1:
@@ -113,10 +114,6 @@ class FleetScaleConfig:
             raise ValueError("restart_probes must be >= 1")
         if self.restart_num_tasks < 1:
             raise ValueError("restart_num_tasks must be >= 1")
-        if self.warm_sync_rounds < 1:
-            raise ValueError("warm_sync_rounds must be >= 1")
-        if self.steady_margin <= 0:
-            raise ValueError("steady_margin must be positive")
 
     def cell_load(self, replicas: int, multiplier: float) -> OpenLoopConfig:
         """The seeded open-loop trace of one sweep cell."""
@@ -124,13 +121,33 @@ class FleetScaleConfig:
             seed=derive_seed(
                 self.seed, f"cell-{replicas}x{multiplier:g}"
             ),
-            rate=self.base_rate,
             rate_multiplier=multiplier,
             requests=self.requests_per_cell,
-            dispatch_scale=self.dispatch_scale,
             unique_sets=self.unique_sets,
             num_tasks=self.num_tasks,
             churn_rate=self.churn_rate,
+        )
+
+    def fleet(self, replicas: int, cache_tier: bool, salt: str) -> "Fleet":
+        """A sweep fleet; ``salt`` seeds its router apart from others."""
+        return Fleet(
+            replicas,
+            RouterConfig(
+                policy=self.policy,
+                request_timeout=REQUEST_TIMEOUT,
+                max_attempts=MAX_ATTEMPTS,
+                probe_interval=PROBE_INTERVAL,
+                seed=derive_seed(self.seed, f"router-{salt}"),
+            ),
+            resolution=self.resolution,
+            gossip_interval=GOSSIP_INTERVAL,
+            # max_wait is kept tiny: a large batching latency floor
+            # would swamp the cache-hit vs scratch-solve gap the
+            # restart comparison measures (backlog, not the timer,
+            # forms batches under sustained load anyway)
+            max_wait=0.0002,
+            cache_tier=cache_tier,
+            tier=self.tier,
         )
 
 
@@ -163,43 +180,54 @@ class FleetScaleReport:
             "wall_seconds": self.wall_seconds,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
+class Fleet:
+    """One booted fleet: replicas + gossip (+ cache tier) + router.
 
-class _Fleet:
-    """One booted fleet: replicas + gossip (+ cache tier) + router."""
+    The only code that boots replicas, their gossip agents and the
+    router: the scale sweep, its restart arms and the chaos campaign
+    (:mod:`repro.fleet.campaign`) all run on it.  ``router`` carries
+    the harness's routing tunables and seed; ``max_wait`` is the
+    replicas' batching timer.
+    """
 
     def __init__(
         self,
-        config: FleetScaleConfig,
         replicas: int,
-        cache_tier: bool,
-        seed_salt: str,
+        router: RouterConfig,
+        *,
+        resolution: int,
+        gossip_interval: float,
+        max_wait: float,
+        cache_tier: bool = True,
+        tier: Optional[CacheTierConfig] = None,
+        observability: Optional[Observability] = None,
+        link_chaos: Optional[LinkChaos] = None,
     ) -> None:
-        self.config = config
         self.replica_ids = [f"replica-{i}" for i in range(replicas)]
+        self.router_config = router
+        self.resolution = resolution
+        self.gossip_interval = gossip_interval
+        self.max_wait = max_wait
         self.cache_tier = cache_tier
-        self.seed_salt = seed_salt
+        self.tier = tier
+        self.observability = observability or Observability.disabled()
+        self.link_chaos = link_chaos
         self.procs: Dict[str, ReplicaProcess] = {}
         self.agents: Dict[str, GossipAgent] = {}
         self.router: Optional[FleetRouter] = None
 
     def _factory(self, replica_id: str) -> ODMService:
-        config = self.config
-        # max_wait is kept tiny: a large batching latency floor would
-        # swamp the cache-hit vs scratch-solve gap the restart
-        # comparison measures (backlog, not the timer, forms batches
-        # under sustained load anyway)
+        # the breaker tunables only matter where a harness feeds
+        # outcome evidence (the campaign's observer replica)
         return ODMService(
             workers=1,
             replica_id=replica_id,
             batch_policy=BatchPolicy(
-                max_batch=8,
-                max_wait=0.0002,
-                queue_capacity=config.queue_capacity,
+                max_batch=8, max_wait=self.max_wait, queue_capacity=64
             ),
-            resolution=config.resolution,
+            breaker_kwargs={"min_samples": 3, "cooldown_windows": 1},
+            resolution=self.resolution,
         )
 
     async def start_agent(self, replica_id: str) -> GossipAgent:
@@ -207,21 +235,31 @@ class _Fleet:
         assert proc.service is not None
         replicator = None
         if self.cache_tier and proc.service.cache is not None:
-            replicator = CacheReplicator(
-                proc.service.cache, self.config.tier
-            )
+            replicator = CacheReplicator(proc.service.cache, self.tier)
         agent = GossipAgent(
             proc.service,
             peers={
                 rid: p.address for rid, p in self.procs.items()
             },
-            interval=self.config.gossip_interval,
+            interval=self.gossip_interval,
             replicator=replicator,
         )
         self.agents[replica_id] = await agent.start()
         return agent
 
-    async def __aenter__(self) -> "_Fleet":
+    async def kill(self, replica_id: str) -> None:
+        """Stop the replica's gossip agent, then kill the replica."""
+        agent = self.agents.pop(replica_id, None)
+        if agent is not None:
+            await agent.stop()
+        await self.procs[replica_id].kill()
+
+    async def restart(self, replica_id: str) -> None:
+        """Restart a killed replica (amnesiac) and rejoin gossip."""
+        await self.procs[replica_id].restart()
+        await self.start_agent(replica_id)
+
+    async def __aenter__(self) -> "Fleet":
         for replica_id in self.replica_ids:
             proc = ReplicaProcess(
                 replica_id,
@@ -236,17 +274,9 @@ class _Fleet:
                 ReplicaSpec(rid, proc.host, proc.port)
                 for rid, proc in sorted(self.procs.items())
             ],
-            RouterConfig(
-                policy=self.config.policy,
-                request_timeout=self.config.request_timeout,
-                max_attempts=self.config.max_attempts,
-                hedge_after=None,
-                probe_interval=self.config.probe_interval,
-                seed=derive_seed(
-                    self.config.seed, f"router-{self.seed_salt}"
-                ),
-            ),
-            observability=Observability.disabled(),
+            self.router_config,
+            observability=self.observability,
+            link_chaos=self.link_chaos,
         )
         await self.router.start()
         return self
@@ -294,11 +324,8 @@ async def _run_cell(
     pool=None,
 ) -> Dict[str, object]:
     load = config.cell_load(replicas, multiplier)
-    async with _Fleet(
-        config,
-        replicas,
-        config.cache_tier,
-        seed_salt=f"{replicas}x{multiplier:g}",
+    async with config.fleet(
+        replicas, config.cache_tier, f"{replicas}x{multiplier:g}"
     ) as fleet:
         assert fleet.router is not None
         report: OpenLoopReport = await run_open_loop(
@@ -346,10 +373,7 @@ async def _run_restart_arm(
     replicas = max(2, min(config.replica_counts))
     load = OpenLoopConfig(
         seed=derive_seed(config.seed, "restart-warmup"),
-        rate=config.base_rate,
-        rate_multiplier=1.0,
         requests=config.requests_per_cell,
-        dispatch_scale=config.dispatch_scale,
         unique_sets=config.unique_sets,
         num_tasks=config.restart_num_tasks,
         churn_rate=config.churn_rate,
@@ -368,11 +392,8 @@ async def _run_restart_arm(
     ]
     target = "replica-1"
     arm: Dict[str, object] = {"warm": warm}
-    async with _Fleet(
-        config,
-        replicas,
-        cache_tier=warm,
-        seed_salt=f"restart-{'warm' if warm else 'cold'}",
+    async with config.fleet(
+        replicas, warm, f"restart-{'warm' if warm else 'cold'}"
     ) as fleet:
         assert fleet.router is not None
         warmup = await run_open_loop(
@@ -380,11 +401,9 @@ async def _run_restart_arm(
         )
         steady_p99 = percentile(warmup.latencies, 99)
 
-        # amnesiac restart of the target replica
-        agent = fleet.agents.pop(target, None)
-        if agent is not None:
-            await agent.stop()
-        await fleet.procs[target].kill()
+        # amnesiac restart of the target replica, kept out of gossip
+        # so the explicit pulls below are the only warming it gets
+        await fleet.kill(target)
         await fleet.procs[target].restart()
         restarted = fleet.procs[target].service
         assert restarted is not None
@@ -400,14 +419,14 @@ async def _run_restart_arm(
                 peer.host, peer.port
             ).connect()
             try:
-                for _ in range(config.warm_sync_rounds):
+                for _ in range(WARM_SYNC_ROUNDS):
                     # wait_for: client calls carry no default timeout,
                     # so a stalled peer would otherwise hang the arm
                     counts = await asyncio.wait_for(
                         warm_from_peer(
                             restarted.cache, client, config.tier
                         ),
-                        timeout=config.request_timeout,
+                        timeout=REQUEST_TIMEOUT,
                     )
                     sync_totals["pulls"] += 1
                     sync_totals["entries"] += counts["entries"]
@@ -471,12 +490,9 @@ async def _run_restart_arm(
             return latencies, responses
 
         latencies, responses = await burst("probe")
-        anomalies = 0
-        for request, response in zip(probes, responses):
-            if response.status != "shed":
-                anomalies += len(
-                    audit_response(request, response, config.resolution)
-                )
+        probe_tally = ResponseTally()
+        for request, response, latency in zip(probes, responses, latencies):
+            probe_tally.record(request, response, latency, config.resolution)
         hits_after = cache.hits if cache is not None else 0
         lookups_after = (
             cache.hits + cache.misses if cache is not None else 0
@@ -496,7 +512,7 @@ async def _run_restart_arm(
                 "fleet_steady_p99": steady_p99,
                 "steady_p99": local_steady_p99,
                 "warmup_anomalies": warmup.anomaly_count,
-                "probe_anomalies": anomalies,
+                "probe_anomalies": probe_tally.anomaly_count,
                 "duplicate_deliveries": fleet.router.duplicate_deliveries,
                 "post_restart_hit_rate": (
                     (hits_after - hits_before) / lookups
@@ -510,7 +526,7 @@ async def _run_restart_arm(
                 "probe_p50": percentile(latencies, 50),
                 "probe_p99": percentile(latencies, 99),
                 "time_back_to_steady_p99": _time_back_to_steady(
-                    latencies, config.steady_margin * local_steady_p99
+                    latencies, STEADY_MARGIN * local_steady_p99
                 ),
             }
         )

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.benefit import BenefitFunction, BenefitPoint
+from ..core.benefit import scale_response_times
 from ..core.odm import OffloadingDecision, OffloadingDecisionManager
 from ..core.task import OffloadableTask, TaskSet
 from ..sched.offload_scheduler import OffloadingScheduler
@@ -171,18 +171,11 @@ class AdaptiveOffloadingSystem:
             if not isinstance(task, OffloadableTask) or factor == 1.0:
                 believed.add(task)
                 continue
-            points = [task.benefit.points[0]]
-            for p in task.benefit.points[1:]:
-                points.append(
-                    BenefitPoint(
-                        response_time=p.response_time * factor,
-                        benefit=p.benefit,
-                        setup_time=p.setup_time,
-                        compensation_time=p.compensation_time,
-                        label=p.label,
-                    )
+            believed.add(
+                replace(
+                    task, benefit=scale_response_times(task.benefit, factor)
                 )
-            believed.add(replace(task, benefit=BenefitFunction(points)))
+            )
         return believed
 
     def _update_corrections(

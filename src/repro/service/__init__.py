@@ -26,7 +26,7 @@ whatever the degradation rung — the service trades *benefit* under
 load, never the deadline guarantee.
 """
 
-from .audit import audit_response, measure_serial_baseline
+from .audit import audit_response
 from .batching import BatchPolicy, MicroBatcher
 from .degradation import DegradationLevel, DegradationPolicy
 from .loadgen import (
@@ -53,7 +53,6 @@ from .request import (
     AdmissionRequest,
     AdmissionResponse,
     build_request_instance,
-    scale_response_times,
     task_from_dict,
     task_to_dict,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "AdmissionRequest",
     "AdmissionResponse",
     "REQUEST_STATUSES",
-    "scale_response_times",
     "build_request_instance",
     "task_to_dict",
     "task_from_dict",
@@ -99,7 +97,6 @@ __all__ = [
     "generate_bursts",
     "generate_open_loop",
     "audit_response",
-    "measure_serial_baseline",
     "run_loadgen",
     "run_open_loop",
 ]

@@ -1,11 +1,12 @@
 """Serial-reference audit of admission responses (shared notary).
 
 Every serving surface in this repo — the single-replica loadgen
-(:mod:`repro.service.loadgen`) and the multi-replica fleet campaign
-(:mod:`repro.fleet.campaign`) — must hold its traffic to the same
-standard: an admitted response is only correct if the offline ground
-truth agrees.  This module is that shared standard, factored out so the
-Theorem-3 re-check is written exactly once:
+(:mod:`repro.service.loadgen`) and the multi-replica fleet harnesses
+(:mod:`repro.fleet`) — must hold its traffic to the same standard: an
+admitted response is only correct if the offline ground truth agrees.
+This module is that shared standard, factored out so the Theorem-3
+re-check is written exactly once (and called from one place,
+:meth:`repro.service.loadgen.ResponseTally.record`):
 
 * an *admitted* response must pass Theorem 3 when re-checked from the
   raw request (the deadline-guarantee invariant — zero tolerance);
@@ -17,14 +18,10 @@ Theorem-3 re-check is written exactly once:
   the exact reference on *admissibility*: degradation may cost
   benefit, never flip an exact-path rejection into an admission (or
   vice versa), modulo the documented one-quantization-unit boundary.
-
-:func:`measure_serial_baseline` models the no-batching, no-cache serial
-server the latency percentiles are compared against.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import List, Optional
 
 from ..core.schedulability import OffloadAssignment, theorem3_test
@@ -37,10 +34,7 @@ from .request import (
     build_request_instance,
 )
 
-__all__ = [
-    "audit_response",
-    "measure_serial_baseline",
-]
+__all__ = ["audit_response"]
 
 
 def _quantized_weight(selection: Selection, resolution: int) -> int:
@@ -156,27 +150,4 @@ def audit_response(
                 f"reference {reference.total_value!r}"
             )
     return anomalies
-
-
-def measure_serial_baseline(
-    bursts, resolution: int = 20_000
-) -> List[float]:
-    """Per-request latency of a no-batching, no-cache serial server.
-
-    Each burst's requests are solved one after another with the exact
-    DP; request ``k``'s latency is the queueing sum of solves 0..k —
-    what a client of a naive serial service would observe.
-    """
-    latencies: List[float] = []
-    for burst in bursts:
-        elapsed = 0.0
-        for request in burst.requests:
-            started = perf_counter()
-            solve_dp_reference(
-                build_request_instance(request, request.server_estimates),
-                resolution=resolution,
-            )
-            elapsed += perf_counter() - started
-            latencies.append(elapsed)
-    return latencies
 

@@ -26,7 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..core.benefit import BenefitFunction, BenefitPoint
+from ..core.benefit import (
+    BenefitFunction,
+    BenefitPoint,
+    scale_response_times,
+)
 from ..core.odm import build_mckp
 from ..core.task import OffloadableTask, Task, TaskSet
 from ..knapsack import MCKPInstance
@@ -35,7 +39,6 @@ __all__ = [
     "AdmissionRequest",
     "AdmissionResponse",
     "REQUEST_STATUSES",
-    "scale_response_times",
     "build_request_instance",
     "task_to_dict",
     "task_from_dict",
@@ -44,36 +47,6 @@ __all__ = [
 #: Terminal statuses a request can resolve to.  ``shed`` means the
 #: request never reached a solver: backpressure rejected it at the door.
 REQUEST_STATUSES = ("admitted", "rejected", "shed")
-
-
-def scale_response_times(
-    fn: BenefitFunction, factor: float
-) -> BenefitFunction:
-    """Stretch every non-local candidate ``r_{i,j}`` by ``factor``.
-
-    The local ``r = 0`` point is untouched (local execution does not
-    depend on any server).  ``factor`` must be positive; 1.0 returns the
-    function unchanged.  Scaling is monotone, so ordering and the
-    non-decreasing benefit values survive and construction re-validation
-    cannot fail.
-    """
-    if factor <= 0:
-        raise ValueError(f"estimate scale must be positive, got {factor}")
-    if factor == 1.0:
-        return fn
-    return BenefitFunction(
-        p
-        if p.is_local
-        else BenefitPoint(
-            p.response_time * factor,
-            p.benefit,
-            p.setup_time,
-            p.compensation_time,
-            p.label,
-            p.energy,
-        )
-        for p in fn.points
-    )
 
 
 # ----------------------------------------------------------------------

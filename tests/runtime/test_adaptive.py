@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.benefit import BenefitFunction, BenefitPoint
+from repro.core.benefit import scale_response_times
 from repro.core.task import TaskSet
 from repro.runtime.adaptive import AdaptiveOffloadingSystem
 from repro.vision.tasks import table1_task_set
@@ -12,15 +12,10 @@ from repro.vision.tasks import table1_task_set
 
 def _scaled_beliefs(tasks: TaskSet, factor: float) -> TaskSet:
     """Scale every benefit point's response time by ``factor``."""
-    out = TaskSet()
-    for t in tasks:
-        points = [t.benefit.points[0]] + [
-            BenefitPoint(p.response_time * factor, p.benefit,
-                         p.setup_time, p.compensation_time, p.label)
-            for p in t.benefit.points[1:]
-        ]
-        out.add(replace(t, benefit=BenefitFunction(points)))
-    return out
+    return TaskSet(
+        replace(t, benefit=scale_response_times(t.benefit, factor))
+        for t in tasks
+    )
 
 
 class TestValidation:

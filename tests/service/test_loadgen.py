@@ -250,7 +250,7 @@ class TestOpenLoopRun:
                 calls[0] += 1
                 if calls[0] % 3 == 0:
                     raise ConnectionError("router gave up")
-                return SimpleNamespace(status="shed")
+                return SimpleNamespace(status="shed", degradation="shed")
 
             return await run_open_loop(
                 flaky_submit, ol_config(requests=9, audit=False)
@@ -262,3 +262,93 @@ class TestOpenLoopRun:
         assert report.shed == 6
         assert report.completed == 6
         assert report.latencies == []  # shed = no decision, no latency
+
+
+# ----------------------------------------------------------------------
+# the response tally every driver shares
+# ----------------------------------------------------------------------
+from repro.core.benefit import BenefitFunction, BenefitPoint
+from repro.core.task import OffloadableTask, TaskSet
+from repro.service import AdmissionRequest, AdmissionResponse
+from repro.service.loadgen import MAX_LISTED_ANOMALIES, ResponseTally
+
+
+def _overloaded_request(request_id="over"):
+    """Two tasks whose local and compensation demand are 0.6 each: no
+    placement passes Theorem 3."""
+    benefit = BenefitFunction([BenefitPoint(0.0, 1.0), BenefitPoint(0.2, 2.0)])
+    tasks = TaskSet([
+        OffloadableTask(
+            task_id=f"t{i}", wcet=0.6, period=1.0, setup_time=0.05,
+            compensation_time=0.6, post_time=0.02, benefit=benefit,
+        )
+        for i in range(2)
+    ])
+    return AdmissionRequest(request_id, tasks, {"edge": 1.0})
+
+
+def _answer(request, status, degradation="exact", **fields):
+    return AdmissionResponse(
+        request_id=request.request_id,
+        status=status,
+        degradation=degradation,
+        allowed_servers=dict(request.server_estimates),
+        **fields,
+    )
+
+
+class TestResponseTally:
+    def test_counts_statuses_and_rungs(self):
+        request = _overloaded_request()
+        tally = ResponseTally()
+        tally.record(request, _answer(request, "rejected"), 0.1, 2_000)
+        tally.record(
+            request, _answer(request, "rejected", "heuristic"), 0.2, 2_000
+        )
+        tally.record(request, _answer(request, "shed", "shed"), 0.3, 2_000)
+        assert (tally.requests, tally.admitted, tally.rejected, tally.shed) \
+            == (3, 0, 2, 1)
+        assert tally.rungs_seen == {"exact": 1, "heuristic": 1, "shed": 1}
+        assert tally.ok
+
+    def test_shed_adds_no_latency(self):
+        request = _overloaded_request()
+        tally = ResponseTally()
+        tally.record(request, _answer(request, "shed", "shed"), 0.5, 2_000)
+        tally.record(request, _answer(request, "rejected"), 0.25, 2_000)
+        assert tally.latencies == [0.25]
+
+    def test_admission_failing_theorem3_is_counted_and_listed(self):
+        request = _overloaded_request()
+        admitted = _answer(
+            request, "admitted",
+            placements={"t0": (None, 0.0), "t1": (None, 0.0)},
+        )
+        tally = ResponseTally()
+        tally.record(request, admitted, 0.1, 2_000)
+        assert not tally.ok
+        assert tally.anomaly_count == len(tally.anomalies) >= 1
+        assert any("Theorem 3 fails" in a for a in tally.anomalies)
+
+    def test_lists_at_most_the_cap_but_counts_all(self):
+        tally = ResponseTally()
+        for index in range(MAX_LISTED_ANOMALIES):
+            request = _overloaded_request(f"over-{index}")
+            admitted = _answer(
+                request, "admitted",
+                placements={"t0": (None, 0.0), "t1": (None, 0.0)},
+            )
+            tally.record(request, admitted, 0.1, 2_000)
+        assert tally.anomaly_count > MAX_LISTED_ANOMALIES
+        assert len(tally.anomalies) == MAX_LISTED_ANOMALIES
+        assert tally.to_dict()["anomaly_count"] == tally.anomaly_count
+
+    def test_audit_off_counts_without_auditing(self):
+        request = _overloaded_request()
+        admitted = _answer(
+            request, "admitted",
+            placements={"t0": (None, 0.0), "t1": (None, 0.0)},
+        )
+        tally = ResponseTally()
+        tally.record(request, admitted, 0.1, 2_000, audit=False)
+        assert tally.admitted == 1 and tally.anomaly_count == 0

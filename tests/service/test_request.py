@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.benefit import BenefitFunction, BenefitPoint
+from repro.core.benefit import (
+    BenefitFunction,
+    BenefitPoint,
+    scale_response_times,
+)
 from repro.core.task import Task, TaskSet
 from repro.service import (
     AdmissionRequest,
     AdmissionResponse,
     build_request_instance,
-    scale_response_times,
     task_from_dict,
     task_to_dict,
 )
