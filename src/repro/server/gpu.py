@@ -82,6 +82,9 @@ class GpuDevice:
         self.interference_sigma = interference_sigma
         self.rng = rng
         self._queue: Deque[Tuple[KernelWork, Callable[[float], None]]] = deque()
+        # running sum of the queued kernels' compute_work; exactly 0.0
+        # whenever the queue is empty, so idle devices tie exactly
+        self._queued_work = 0.0
         self._busy = False
         self.kernels_completed = 0
         self.busy_time = 0.0
@@ -97,7 +100,7 @@ class GpuDevice:
     def pending_work(self) -> float:
         """Nominal seconds of work waiting (excludes the running kernel's
         residual, which the proxy cannot observe on a real device)."""
-        return sum(k.compute_work for k, _ in self._queue) / self.speed
+        return self._queued_work / self.speed
 
     @property
     def busy(self) -> bool:
@@ -112,6 +115,7 @@ class GpuDevice:
         """Queue ``kernel``; ``on_done(completion_time)`` fires when it
         finishes on this device."""
         self._queue.append((kernel, on_done))
+        self._queued_work += kernel.compute_work
         if not self._busy:
             self._start_next()
 
@@ -130,6 +134,10 @@ class GpuDevice:
             return
         self._busy = True
         kernel, on_done = self._queue.popleft()
+        if self._queue:
+            self._queued_work -= kernel.compute_work
+        else:
+            self._queued_work = 0.0
         duration = self._service_time(kernel)
         self.busy_time += duration
 

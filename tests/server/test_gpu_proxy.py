@@ -77,6 +77,35 @@ class TestGpuDevice:
         with pytest.raises(ValueError):
             GpuDevice(sim, "g0", speed=0.0)
 
+    def test_pending_work_running_sum_tracks_queue(self, sim):
+        """The running sum matches a fresh sum of the queue after every
+        enqueue and completion, and is exactly 0.0 whenever the queue
+        is empty (float dust from add/subtract must not survive)."""
+        rng = np.random.default_rng(20)
+        gpu = GpuDevice(sim, "g0", speed=1.5)
+        emptied = 0
+
+        def check():
+            fresh = sum(k.compute_work for k, _ in gpu._queue) / gpu.speed
+            if gpu._queue:
+                assert gpu.pending_work == pytest.approx(fresh, rel=1e-12)
+            else:
+                assert gpu.pending_work == 0.0
+
+        for _ in range(600):
+            if rng.random() < 0.45 or sim.pending == 0:
+                work = float(rng.exponential(0.05))
+                gpu.enqueue(_kernel(work), lambda t: None)
+            else:
+                sim.step()
+                emptied += not gpu._queue
+            check()
+        while sim.step() is not None:
+            check()
+        assert emptied > 10
+        assert gpu.pending_work == 0.0
+        assert gpu.queue_length == 0
+
 
 class TestProxy:
     def test_requires_devices(self, sim):
@@ -99,6 +128,26 @@ class TestProxy:
         proxy.execute(_kernel(0.1), lambda t: None)  # -> g1 (g0 busy)
         assert g0.queue_length == 1
         assert g1.queue_length == 1
+
+    def test_drained_devices_tie_exactly(self, sim):
+        """Once both devices have drained, pending work ties at exactly
+        0.0, so dispatch falls through to queue length, then order."""
+        g0 = GpuDevice(sim, "g0")
+        g1 = GpuDevice(sim, "g1")
+        # g1's sizes leave float dust in a sum that is only added to
+        # and subtracted from
+        for work in (0.1, 0.2, 0.3):
+            g0.enqueue(_kernel(work), lambda t: None)
+        for work in (0.5, 0.1, 0.2):
+            g1.enqueue(_kernel(work), lambda t: None)
+        sim.run_until(2.0)
+        assert g0.queue_length == g1.queue_length == 0
+        proxy = GpuServerProxy(sim, [g0, g1], dispatch_overhead=0.0)
+        g0.enqueue(_kernel(0.4), lambda t: None)  # g0 busy, queue empty
+        proxy.execute(_kernel(0.4), lambda t: None)  # lower queue length
+        assert (g0.queue_length, g1.queue_length) == (1, 1)
+        proxy.execute(_kernel(0.4), lambda t: None)  # full tie: first
+        assert (g0.queue_length, g1.queue_length) == (2, 1)
 
     def test_parallel_speedup(self, sim):
         """Two GPUs finish two kernels in the time one would take."""
