@@ -15,6 +15,8 @@ package turns it into an *online admission service*:
   local-only ladder (cheaper under load, never less safe);
 * :mod:`repro.service.protocol` — the length-prefixed binary wire
   framing, the service's one wire;
+* :mod:`repro.service.memo` — the content-keyed memo through which
+  the wire handlers parse repeated admissions once;
 * :mod:`repro.service.server` — the :class:`ODMService` orchestrator,
   the TCP front-end behind ``repro serve`` and :class:`ServiceClient`,
   its one client;

@@ -24,7 +24,9 @@ behind ``repro serve`` / ``repro loadgen`` — speaking the
 length-prefixed binary framing of :mod:`repro.service.protocol`;
 :class:`ServiceClient` is its one client.  Operations: ``admit``,
 ``admit_batch``, ``outcome``, ``window``, ``gossip``, ``cache_sync``,
-``stats``, ``shutdown``.
+``stats``, ``shutdown``.  Admission records are parsed through the
+service's :class:`~repro.service.memo.RequestMemo`, so a repeated
+task set is parsed and reduced to its MCKP instance once.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from ..runtime.health import BreakerBank
 from .aio import cancel_and_wait
 from .batching import BatchPolicy, MicroBatcher
 from .degradation import DegradationLevel, DegradationPolicy
+from .memo import MemoEntry, RequestMemo
 from .protocol import (
     HEADER,
     FrameError,
@@ -83,6 +86,7 @@ class _Pending:
 
     request: AdmissionRequest
     future: "asyncio.Future[AdmissionResponse]"
+    memo: Optional[MemoEntry] = None
     enqueued: float = field(default_factory=perf_counter)
 
 
@@ -189,6 +193,12 @@ class ODMService:
             # surface hit/miss/near-hit counters in the same registry
             # the rest of the service reports through
             self.cache.bind_metrics(reg)
+        # the wire path's parsed-request memo remembers as many
+        # distinct contents as the solver cache holds solutions
+        self.request_memo = RequestMemo(
+            self.cache.maxsize if self.cache is not None else 256
+        )
+        self.request_memo.bind_metrics(reg)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -252,12 +262,18 @@ class ODMService:
     # ------------------------------------------------------------------
     # client API
     # ------------------------------------------------------------------
-    async def submit(self, request: AdmissionRequest) -> AdmissionResponse:
+    async def submit(
+        self,
+        request: AdmissionRequest,
+        memo: Optional[MemoEntry] = None,
+    ) -> AdmissionResponse:
         """Queue one admission request and await its response.
 
         Idempotent on ``request_id``: a retried or hedged duplicate of
         an in-flight or settled request shares the original future, so
         one id is decided exactly once (never double-admitted).
+        ``memo`` is the :attr:`request_memo` entry the wire path parsed
+        ``request`` through; the batch loop reuses its MCKP instance.
         """
         if not self.started:
             raise RuntimeError("service is not started")
@@ -278,7 +294,7 @@ class ODMService:
             # original request's future out from under its owner
             return await asyncio.shield(shared)
         pending = _Pending(
-            request, asyncio.get_running_loop().create_future()
+            request, asyncio.get_running_loop().create_future(), memo
         )
         if not self._batcher.offer(pending):
             response = self._response(
@@ -552,7 +568,15 @@ class ODMService:
             else:
                 solver_name = "heu_oe"
                 kwargs = {}
-            instance = build_request_instance(pending.request, allowed)
+            # allowed scales are the request's own, so the server ids
+            # name the instance of a memoized content
+            memo, allowed_key = pending.memo, tuple(allowed)
+            if memo is not None and memo.allowed == allowed_key:
+                instance = memo.instance
+            else:
+                instance = build_request_instance(pending.request, allowed)
+                if memo is not None:
+                    memo.allowed, memo.instance = allowed_key, instance
             plans.append((solver_name, instance, kwargs))
 
         entries = [plan for plan in plans if plan is not None]
@@ -774,6 +798,7 @@ class ODMService:
         }
         if self.cache is not None:
             snapshot["cache"] = self.cache.stats
+        snapshot["request_memo"] = self.request_memo.stats
         snapshot["delta"] = {
             "solves": self.shard_solver.delta_solves,
             "layers_reused": self.shard_solver.delta_layers_reused,
@@ -854,6 +879,7 @@ async def serve_tcp(
     if control is not None:
         control._done = done
     m_frames = service.observability.metrics.counter("service.wire_frames")
+    parse = service.request_memo.parse
 
     async def handle(reader, writer) -> None:
         lock = asyncio.Lock()
@@ -878,11 +904,11 @@ async def serve_tcp(
 
         async def admit(record: Dict[str, object]) -> None:
             try:
-                request = AdmissionRequest.from_dict(record["request"])
+                request, memo = parse(record["request"])
             except (KeyError, TypeError, ValueError) as exc:
                 await wire_error(f"bad admit request: {exc}")
                 return
-            response = await service.submit(request)
+            response = await service.submit(request, memo=memo)
             await reply({"op": "response", **response.to_dict()})
 
         async def admit_batch(record: Dict[str, object]) -> None:
@@ -893,14 +919,15 @@ async def serve_tcp(
                 )
                 return
             try:
-                requests = [
-                    AdmissionRequest.from_dict(item) for item in raw
-                ]
+                parsed = [parse(item) for item in raw]
             except (KeyError, TypeError, ValueError) as exc:
                 await wire_error(f"bad admit_batch request: {exc}")
                 return
             responses = await asyncio.gather(
-                *(service.submit(request) for request in requests)
+                *(
+                    service.submit(request, memo=memo)
+                    for request, memo in parsed
+                )
             )
             await reply(
                 {
@@ -919,7 +946,15 @@ async def serve_tcp(
                 remaining -= len(chunk)
             return True
 
-        tasks: List[asyncio.Task] = []
+        # in-flight admissions only: a finished task drops out, so a
+        # long-lived connection retains nothing per answered request
+        tasks: Set[asyncio.Task] = set()
+
+        def spawn(coro) -> None:
+            task = asyncio.create_task(coro)
+            tasks.add(task)
+            task.add_done_callback(tasks.discard)
+
         try:
             while not done.is_set():
                 try:
@@ -952,9 +987,9 @@ async def serve_tcp(
                 m_frames.inc()
                 op = record.get("op")
                 if op == "admit":
-                    tasks.append(asyncio.create_task(admit(record)))
+                    spawn(admit(record))
                 elif op == "admit_batch":
-                    tasks.append(asyncio.create_task(admit_batch(record)))
+                    spawn(admit_batch(record))
                 elif op == "outcome":
                     try:
                         service.record_outcome(

@@ -9,12 +9,14 @@ the constants.
 """
 
 import asyncio
+import gc
 import json
 import socket
 
 import numpy as np
 import pytest
 
+from repro.core.task import Task, TaskSet
 from repro.observability import Observability
 from repro.service import (
     FLAG_MSGPACK,
@@ -523,3 +525,41 @@ def test_admit_batch_rejects_malformed_batches():
     assert empty["op"] == "error"
     assert bad_entry["op"] == "error"
     assert bye == {"op": "bye"}
+
+
+def test_a_long_lived_connection_retains_no_finished_admissions():
+    """Each admit runs as its own handler task; once answered, the
+    connection must not keep it (nor its request and response)."""
+    tasks = TaskSet([Task("t0", wcet=1.0, period=10.0, deadline=10.0)])
+
+    def finished_admissions():
+        gc.collect()
+        return sum(
+            1
+            for obj in gc.get_objects()
+            if isinstance(obj, asyncio.Task)
+            and obj.done()
+            and obj.get_coro().__qualname__.endswith(
+                "handle.<locals>.admit"
+            )
+        )
+
+    async def scenario():
+        port = free_port()
+        serve_task = await serving(port)
+        async with ServiceClient(port=port) as client:
+            for chunk in range(80):  # 25 in flight: below the queue cap
+                responses = await asyncio.gather(*(
+                    client.submit(
+                        AdmissionRequest(f"leak-{chunk}-{i}", tasks, {})
+                    )
+                    for i in range(25)
+                ))
+                assert all(r.admitted for r in responses)
+            await asyncio.sleep(0.05)
+            retained = finished_admissions()  # connection still open
+            await client.shutdown()
+        await asyncio.wait_for(serve_task, timeout=10.0)
+        return retained
+
+    assert asyncio.run(scenario()) == 0
