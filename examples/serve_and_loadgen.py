@@ -33,7 +33,6 @@ def free_port() -> int:
 async def main() -> int:
     port = free_port()
     service = ODMService(
-        workers=2,
         batch_policy=BatchPolicy(
             max_batch=16, max_wait=0.002, queue_capacity=256
         ),

@@ -319,7 +319,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     service = ODMService(
         resolution=args.resolution,
-        workers=args.workers,
         batch_policy=BatchPolicy(
             max_batch=args.max_batch,
             max_wait=args.max_wait,
@@ -396,10 +395,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
     async def drive():
         if args.in_process:
-            service = ODMService(
-                resolution=args.resolution, workers=args.workers
-            )
-            async with service:
+            async with ODMService(resolution=args.resolution) as service:
                 return await run_loadgen(
                     service.submit, config,
                     record_outcome=service.record_outcome,
@@ -894,7 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration", type=float, default=None,
         help="exit cleanly after SECONDS even without a shutdown op",
     )
-    add_workers(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -935,7 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shutdown", action="store_true",
         help="send a shutdown op to the TCP service when done",
     )
-    add_workers(p)
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser(

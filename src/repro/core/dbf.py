@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .deadlines import SubJobDeadlines, split_deadlines
@@ -34,6 +35,7 @@ __all__ = [
     "dbf_offloaded_linear_bound",
     "dbf_offloaded_steps",
     "demand_checkpoints",
+    "demand_horizon",
     "ProcessorDemandResult",
     "processor_demand_test",
     "clear_demand_cache",
@@ -43,15 +45,35 @@ __all__ = [
 # ----------------------------------------------------------------------
 # exact sporadic dbf (Baruah, Mok, Rosier 1990)
 # ----------------------------------------------------------------------
+def last_step(period: float, deadline: float, t: float) -> int:
+    """The largest ``k`` with ``deadline + k * period <= t`` (``-1`` if
+    none), the step points evaluated exactly as
+    :func:`demand_checkpoints` generates them.
+
+    ``floor((t − D)/T)`` alone can land one step short at a checkpoint
+    (its float quotient rounds below the integer), dropping the very
+    job whose step made the checkpoint; the two loops settle ``k``
+    against the checkpoint expression itself.
+    """
+    if t < deadline:
+        return -1
+    k = math.floor((t - deadline) / period)
+    while deadline + (k + 1) * period <= t:
+        k += 1
+    while k > 0 and deadline + k * period > t:
+        k -= 1
+    return k
+
+
 def dbf_sporadic(wcet: float, period: float, deadline: float, t: float) -> float:
     """Exact dbf of a sporadic task in a window of length ``t``.
 
-    ``dbf(t) = max(0, floor((t − D)/T) + 1) · C``.
+    ``dbf(t) = max(0, floor((t − D)/T) + 1) · C``, counting the job of
+    every step point ``D + k·T <= t`` (see :func:`last_step`).
     """
     if t < deadline:
         return 0.0
-    jobs = math.floor((t - deadline) / period) + 1
-    return jobs * wcet
+    return (last_step(period, deadline, t) + 1) * wcet
 
 
 # ----------------------------------------------------------------------
@@ -142,15 +164,56 @@ def demand_checkpoints(
     """All absolute dbf step points ``D + k·T ≤ horizon`` for each stream.
 
     These are the only window lengths at which any exact sporadic dbf
-    increases, hence the only candidates for a demand violation.
+    increases, hence the only candidates for a demand violation.  Each
+    point is computed as ``D + k * T`` (never by accumulating ``T``), the
+    expression :func:`dbf_sporadic` counts jobs against.
     """
     points = set()
     for deadline, period in deadlines_and_periods:
-        value = deadline
-        while value <= horizon:
-            points.add(value)
-            value += period
+        k = 0
+        while deadline + k * period <= horizon:
+            points.add(deadline + k * period)
+            k += 1
     return sorted(points)
+
+
+#: Utilizations within this distance of 1 get :func:`demand_horizon`'s
+#: short fallback window instead of a busy-period bound.
+_NEAR_FULL = 1e-9
+
+
+def demand_horizon(
+    streams: Sequence[Tuple[float, float, float]],
+) -> Tuple[float, bool]:
+    """``(horizon, overloaded)`` for ``(wcet, period, deadline)`` streams.
+
+    ``overloaded`` is the exact (rational) test ``U > 1``: demand then
+    outgrows every window, so the set is infeasible.  The horizon is a
+    window length a demand test must scan to:
+
+    * ``U < 1 − 1e-9``: for ``t >= max(D)``, ``demand(t)`` is at most
+      ``U·t + ΣC`` and at most ``U·t + Σ(T−D)·U_i``, so ``demand(t) > t``
+      needs ``t < min(ΣC, Σ(T−D)·U_i)/(1−U)`` — no violation lies
+      beyond it.  The bound is computed exactly and rounded up.
+    * otherwise no short sound bound exists (both lines grow as
+      ``1/|1−U|``: a float ``U`` a rounding step from 1 would ask for
+      ~1e16 checkpoints), so a few periods past the largest deadline
+      are examined, enough in practice.  ``U > 1`` is still rejected
+      through ``overloaded``; a set with ``U`` in ``[1 − 1e-9, 1]``
+      whose first violation lies past that window would be accepted.
+    """
+    max_deadline = max(d for _, _, d in streams)
+    exact = [(Fraction(w), Fraction(p), Fraction(d)) for w, p, d in streams]
+    utilization = sum(w / p for w, p, _ in exact)
+    if utilization < 1 - _NEAR_FULL:
+        offset = min(
+            sum(w for w, _, _ in exact),
+            sum((p - d) * w / p for w, p, d in exact),
+        )
+        horizon = math.nextafter(float(offset / (1 - utilization)), math.inf)
+        return max(horizon, max_deadline), False
+    max_period = max(p for _, p, _ in streams)
+    return max_deadline + 2.0 * max_period * len(streams), utilization > 1
 
 
 #: Memo of ``(streams, horizon) -> result``.  The runtime loops
@@ -186,11 +249,12 @@ def processor_demand_test(
         stream.  A split offloaded task contributes its two streams (see
         :func:`dbf_offloaded_steps`).
     horizon:
-        Largest window length to examine.  Defaults to the standard
-        busy-period style bound
-        ``max(D_max, U/(1−U) · max_i (T_i − D_i))`` capped by the
-        first idle instant estimate; when total density ≥ 1 the test
-        reports infeasible via the linear bound immediately.
+        Largest window length to examine.  Defaults to
+        :func:`demand_horizon`: a sound busy-period bound unless ``U``
+        is within 1e-9 of 1.  A
+        set with ``U > 1`` is infeasible whatever the horizon; if no
+        checkpoint in it is violated beyond the tolerance, the result
+        names the tightest one.
     extra_demand:
         Optional additional demand curve (e.g. a linear term for tasks
         only characterized by the Theorem 1 bound) added at every
@@ -229,25 +293,9 @@ def _processor_demand_impl(
                 f"invalid stream (C={wcet}, T={period}, D={deadline})"
             )
 
-    utilization = sum(w / p for w, p, _ in streams)
+    default_horizon, overloaded = demand_horizon(streams)
     if horizon is None:
-        max_deadline = max(d for _, _, d in streams)
-        if utilization >= 1.0 - 1e-12:
-            # No finite busy-period bound exists; fall back to a couple of
-            # hyper-ish periods, enough to expose violations in practice.
-            horizon = max_deadline + 2.0 * max(p for _, p, _ in streams) * len(
-                streams
-            )
-        else:
-            slack_term = max(
-                (max(0.0, p - d) * (w / p) for w, p, d in streams),
-                default=0.0,
-            )
-            horizon = max(
-                max_deadline,
-                utilization / (1.0 - utilization) * len(streams) * slack_term,
-            )
-        horizon = max(horizon, max_deadline)
+        horizon = default_horizon
 
     checkpoints = demand_checkpoints(
         [(d, p) for _, p, d in streams], horizon
@@ -273,7 +321,7 @@ def _processor_demand_impl(
                 checkpoints_tested=len(checkpoints),
             )
     return ProcessorDemandResult(
-        feasible=True,
+        feasible=not overloaded,
         critical_time=tightest_t,
         demand=tightest_demand,
         margin=margin,

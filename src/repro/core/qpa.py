@@ -26,7 +26,12 @@ from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..observability.profiling import profile_calls
-from .dbf import ProcessorDemandResult, dbf_sporadic
+from .dbf import (
+    ProcessorDemandResult,
+    dbf_sporadic,
+    demand_horizon,
+    last_step,
+)
 
 __all__ = ["qpa_test", "clear_qpa_cache"]
 
@@ -52,16 +57,19 @@ def _total_dbf(
 def _largest_deadline_below(
     streams: Sequence[Tuple[float, float, float]], t: float
 ) -> Optional[float]:
-    """max{ D + k·T : D + k·T < t } over all streams, or None."""
+    """max{ D + k·T : D + k·T < t } over all streams, or None.
+
+    Step points are the checkpoint expression ``D + k * T`` of
+    :func:`~repro.core.dbf.last_step`, so ``dbf_sporadic`` counts the
+    job whose step a returned point is.
+    """
+    below = math.nextafter(t, -math.inf)
     best: Optional[float] = None
     for _, period, deadline in streams:
         if deadline >= t:
             continue
-        k = math.floor((t - deadline) / period)
-        candidate = deadline + k * period
-        if candidate >= t:  # float edge: step exactly at t
-            candidate -= period
-        if candidate >= deadline and (best is None or candidate > best):
+        candidate = deadline + last_step(period, deadline, below) * period
+        if best is None or candidate > best:
             best = candidate
     return best
 
@@ -108,25 +116,16 @@ def _qpa_impl(
                 f"invalid stream (C={wcet}, T={period}, D={deadline})"
             )
 
-    utilization = sum(w / p for w, p, _ in streams)
-    max_deadline = max(d for _, _, d in streams)
+    default_horizon, overloaded = demand_horizon(streams)
     if horizon is None:
-        if utilization >= 1.0 - 1e-12:
-            horizon = max_deadline + 2.0 * max(
-                p for _, p, _ in streams
-            ) * len(streams)
-        else:
-            # demand(t) <= U t + sum C  =>  violations lie below
-            # (sum C)/(1-U)
-            offset = sum(w for w, _, _ in streams)
-            horizon = max(max_deadline, offset / (1.0 - utilization))
+        horizon = default_horizon
 
     min_deadline = min(d for _, _, d in streams)
     iterations = 0
 
     t = _largest_deadline_below(streams, horizon + 1e-12)
     if t is None:
-        return ProcessorDemandResult(True, 0.0, 0.0, math.inf, 0)
+        return ProcessorDemandResult(not overloaded, 0.0, 0.0, math.inf, 0)
 
     margin = math.inf
     tightest_t = t
@@ -158,7 +157,7 @@ def _qpa_impl(
             t = _largest_deadline_below(streams, t)
 
     return ProcessorDemandResult(
-        feasible=True,
+        feasible=not overloaded,
         critical_time=tightest_t,
         demand=tightest_demand,
         margin=margin,

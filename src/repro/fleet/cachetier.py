@@ -105,7 +105,7 @@ def cache_digest(
 
 
 def build_sync_reply(
-    cache: Optional[SolverCache],
+    cache: SolverCache,
     have: Optional[Sequence[str]] = None,
     budget: Optional[int] = None,
     states: Optional[int] = None,
@@ -121,14 +121,6 @@ def build_sync_reply(
     this replica's ``config``.
     """
     cfg = config or CacheTierConfig()
-    reply: Dict[str, object] = {
-        "v": CACHE_WIRE_VERSION,
-        "entries": [],
-        "states": [],
-        "oversize_skipped": 0,
-    }
-    if cache is None:
-        return reply
     entry_budget = (
         cfg.sync_budget
         if budget is None
@@ -166,14 +158,16 @@ def build_sync_reply(
             skipped += 1
             continue
         state_records.append(record)
-    reply["entries"] = entries
-    reply["states"] = state_records
-    reply["oversize_skipped"] = skipped
-    return reply
+    return {
+        "v": CACHE_WIRE_VERSION,
+        "entries": entries,
+        "states": state_records,
+        "oversize_skipped": skipped,
+    }
 
 
 def absorb_sync_reply(
-    cache: Optional[SolverCache], reply: Mapping[str, object]
+    cache: SolverCache, reply: Mapping[str, object]
 ) -> Dict[str, int]:
     """Fold one ``cache_sync`` reply into the local cache.
 
@@ -182,8 +176,6 @@ def absorb_sync_reply(
     cannot poison the rest of the round.
     """
     counts = {"entries": 0, "states": 0, "rejected": 0}
-    if cache is None:
-        return counts
     entries = reply.get("entries")
     for record in entries if isinstance(entries, list) else ():
         try:
@@ -217,7 +209,7 @@ class CacheReplicator:
 
     def __init__(
         self,
-        cache: Optional[SolverCache],
+        cache: SolverCache,
         config: Optional[CacheTierConfig] = None,
     ) -> None:
         self.cache = cache
@@ -232,14 +224,10 @@ class CacheReplicator:
 
     def digest(self) -> Dict[str, object]:
         """This replica's own advertisement (symmetric observability)."""
-        if self.cache is None:
-            return {"v": CACHE_WIRE_VERSION, "entries": 0, "hot": []}
         return cache_digest(self.cache, self.config.digest_limit)
 
     def wants_pull(self, digest: Mapping[str, object]) -> bool:
         """Does ``digest`` advertise anything we don't hold?"""
-        if self.cache is None:
-            return False
         hot = digest.get("hot")
         if not isinstance(hot, list) or not hot:
             return False
@@ -250,13 +238,8 @@ class CacheReplicator:
 
     def sync_request(self) -> Dict[str, object]:
         """The ``cache_sync`` arguments for one full-budget pull."""
-        cache = self.cache
         return {
-            "have": (
-                []
-                if cache is None
-                else [key_fingerprint(key) for key in cache.keys()]
-            ),
+            "have": [key_fingerprint(key) for key in self.cache.keys()],
             "budget": self.config.sync_budget,
             "states": self.config.state_budget,
             "max_bytes": self.config.max_entry_bytes,
@@ -300,7 +283,7 @@ class CacheReplicator:
 
 
 async def warm_from_peer(
-    cache: Optional[SolverCache],
+    cache: SolverCache,
     client,
     config: Optional[CacheTierConfig] = None,
 ) -> Dict[str, int]:

@@ -221,7 +221,6 @@ class Fleet:
         # the breaker tunables only matter where a harness feeds
         # outcome evidence (the campaign's observer replica)
         return ODMService(
-            workers=1,
             replica_id=replica_id,
             batch_policy=BatchPolicy(
                 max_batch=8, max_wait=self.max_wait, queue_capacity=64
@@ -234,7 +233,7 @@ class Fleet:
         proc = self.procs[replica_id]
         assert proc.service is not None
         replicator = None
-        if self.cache_tier and proc.service.cache is not None:
+        if self.cache_tier:
             replicator = CacheReplicator(proc.service.cache, self.tier)
         agent = GossipAgent(
             proc.service,
@@ -304,15 +303,12 @@ class Fleet:
             service = proc.service
             if not proc.running or service is None:
                 continue
-            if service.cache is not None:
-                stats = service.cache.stats
-                totals["hits_local"] += stats["hits_local"]
-                totals["hits_replicated"] += stats["hits_replicated"]
-                totals["misses"] += stats["misses"]
-                totals["replicated_in"] += stats["replicated_in"]
-                totals["replicated_states_in"] += stats[
-                    "replicated_states_in"
-                ]
+            stats = service.cache.stats
+            totals["hits_local"] += stats["hits_local"]
+            totals["hits_replicated"] += stats["hits_replicated"]
+            totals["misses"] += stats["misses"]
+            totals["replicated_in"] += stats["replicated_in"]
+            totals["replicated_states_in"] += stats["replicated_states_in"]
             totals["delta_repaired"] += service.shard_solver.delta_solves
         return totals
 
@@ -445,10 +441,8 @@ async def _run_restart_arm(
         await fleet.router.stop()
 
         cache = restarted.cache
-        hits_before = cache.hits if cache is not None else 0
-        lookups_before = (
-            cache.hits + cache.misses if cache is not None else 0
-        )
+        hits_before = cache.hits
+        lookups_before = cache.hits + cache.misses
         loop = asyncio.get_running_loop()
 
         async def burst(tag: str) -> Tuple[List[float], List]:
@@ -493,11 +487,8 @@ async def _run_restart_arm(
         probe_tally = ResponseTally()
         for request, response, latency in zip(probes, responses, latencies):
             probe_tally.record(request, response, latency, config.resolution)
-        hits_after = cache.hits if cache is not None else 0
-        lookups_after = (
-            cache.hits + cache.misses if cache is not None else 0
-        )
-        lookups = lookups_after - lookups_before
+        hits_after = cache.hits
+        lookups = cache.hits + cache.misses - lookups_before
 
         # steady-state calibration: replay the same burst once more —
         # after the first pass the replica is warm in BOTH arms, so
@@ -519,9 +510,7 @@ async def _run_restart_arm(
                     if lookups
                     else 0.0
                 ),
-                "replicated_in": (
-                    cache.replicated_in if cache is not None else 0
-                ),
+                "replicated_in": cache.replicated_in,
                 "sync": sync_totals,
                 "probe_p50": percentile(latencies, 50),
                 "probe_p99": percentile(latencies, 99),

@@ -37,9 +37,8 @@ quantization), which keeps the non-resumable part of a delta solve
 cheap too.
 
 Everything in a :class:`DeltaState` is plain numpy + tuples, so states
-pickle across the :class:`~repro.parallel.SweepRunner` process
-boundary — the sharded service path solves scratch instances in worker
-processes and ships the state back to seed the cache's near-miss index.
+serialize cheaply — the fleet cache tier ships them between replicas
+(:mod:`repro.fleet.cachetier`) to seed a peer's near-miss index.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ either serially (the default, and the reference semantics) or across a
   without ``fork``), the runner falls back to the serial path instead
   of failing the sweep.
 
-Work units are batched into chunks (``chunk_size``) so per-task
+Work units are batched into chunks (about four per worker) so per-task
 pickling/IPC overhead is amortized over several units.
 """
 
@@ -36,8 +36,8 @@ __all__ = ["SweepRunner", "resolve_workers"]
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Chunks per worker when no explicit chunk size is given: small enough
-#: to balance uneven unit costs, large enough to amortize IPC.
+#: Chunks per worker: small enough to balance uneven unit costs, large
+#: enough to amortize IPC.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -72,6 +72,16 @@ def _run_seeded_chunk(
     return [fn(unit, streams[i], *common) for i, unit in indexed_chunk]
 
 
+def _fork_context():
+    """``fork`` where available (cheap, inherits the loaded library),
+    the platform default elsewhere."""
+    import multiprocessing
+
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()
+
+
 class SweepRunner:
     """Runs independent work units serially or across processes.
 
@@ -80,81 +90,17 @@ class SweepRunner:
     workers:
         Parallelism degree (see :func:`resolve_workers`); ``<= 1`` runs
         in-process with zero overhead.
-    chunk_size:
-        Units per submitted batch; defaults to
-        ``ceil(n / (workers · 4))``.
-    mp_context:
-        ``multiprocessing`` start-method name.  Defaults to ``fork``
-        where available (cheap, inherits the loaded library) and the
-        platform default elsewhere.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
-        mp_context: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        self.chunk_size = chunk_size
-        self.mp_context = mp_context
         #: How the last ``map`` actually executed: "serial" or
         #: "parallel".  Lets callers (and tests) observe fallbacks.
         self.last_mode = "serial"
-        self._pool: Optional[ProcessPoolExecutor] = None
 
     # ------------------------------------------------------------------
-    # persistent-pool mode (the online service's hot path)
-    # ------------------------------------------------------------------
-    def start(self) -> "SweepRunner":
-        """Create a persistent worker pool reused across ``map`` calls.
-
-        Experiment sweeps amortize pool startup over one large sweep;
-        the online service instead issues many small batches, where a
-        fresh pool per batch would cost more than the solves.  A started
-        runner keeps one pool alive until :meth:`close`.  Pool creation
-        failures leave the runner in serial mode (same degradation
-        contract as :meth:`map`).
-        """
-        if self.workers > 1 and self._pool is None:
-            try:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    mp_context=self._resolve_context(),
-                )
-            except Exception:
-                self._pool = None
-        return self
-
-    def close(self) -> None:
-        """Shut down the persistent pool (no-op when not started)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-
-    def __enter__(self) -> "SweepRunner":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    def _resolve_context(self):
-        import multiprocessing
-
-        if self.mp_context is not None:
-            return multiprocessing.get_context(self.mp_context)
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" in methods:
-            return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
-
     def _chunks(self, n: int) -> List[range]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, -(-n // (self.workers * _CHUNKS_PER_WORKER)))
+        size = max(1, -(-n // (self.workers * _CHUNKS_PER_WORKER)))
         return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
     def _map_chunked(
@@ -167,41 +113,24 @@ class SweepRunner:
         """Submit chunks to a pool; None signals "fall back to serial"."""
         results: list = [None] * n
         try:
-            if self._pool is not None:
-                self._drain(self._pool, worker, spans, chunk_args, results)
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(chunk_args)),
-                    mp_context=self._resolve_context(),
-                ) as pool:
-                    self._drain(pool, worker, spans, chunk_args, results)
+            with ProcessPoolExecutor(
+                max_workers=min(self.workers, len(chunk_args)),
+                mp_context=_fork_context(),
+            ) as pool:
+                futures = [
+                    (span, pool.submit(worker, *args))
+                    for span, args in zip(spans, chunk_args)
+                ]
+                for span, future in futures:
+                    chunk_result = future.result()
+                    for offset, index in enumerate(span):
+                        results[index] = chunk_result[offset]
         except Exception:
             # Pool creation/pickling failures (sandboxes, lambdas,
             # missing start methods) degrade to the serial reference
             # path.  Genuine unit errors re-raise there identically.
-            # A broken persistent pool is discarded so later calls get
-            # a clean retry instead of reusing dead workers.
-            if self._pool is not None:
-                self.close()
             return None
         return results
-
-    @staticmethod
-    def _drain(
-        pool: ProcessPoolExecutor,
-        worker: Callable,
-        spans: List[range],
-        chunk_args: List[tuple],
-        results: list,
-    ) -> None:
-        futures = [
-            (span, pool.submit(worker, *args))
-            for span, args in zip(spans, chunk_args)
-        ]
-        for span, future in futures:
-            chunk_result = future.result()
-            for offset, index in enumerate(span):
-                results[index] = chunk_result[offset]
 
     # ------------------------------------------------------------------
     def map(

@@ -1,4 +1,4 @@
-"""Online ODM service: async batching, sharded solves, safe degradation.
+"""Online ODM service: async batching, cached solves, safe degradation.
 
 The paper's Offloading Decision Manager is a batch algorithm: given a
 task set and per-server response-time bounds, solve one MCKP.  This
@@ -10,7 +10,7 @@ package turns it into an *online admission service*:
 * :mod:`repro.service.batching` — micro-batching + bounded-queue
   backpressure;
 * :mod:`repro.service.sharding` — cache-probed, deduplicated,
-  process-sharded batch solving (bit-identical to serial);
+  delta-warm-started batch solving (bit-identical to serial);
 * :mod:`repro.service.degradation` — the exact → heuristic →
   local-only ladder (cheaper under load, never less safe);
 * :mod:`repro.service.protocol` — the length-prefixed binary wire
@@ -65,7 +65,7 @@ from .server import (
     TcpServerControl,
     serve_tcp,
 )
-from .sharding import ShardSolver, SolveJob
+from .sharding import ShardSolver
 
 __all__ = [
     "AdmissionRequest",
@@ -79,7 +79,6 @@ __all__ = [
     "DegradationLevel",
     "DegradationPolicy",
     "ShardSolver",
-    "SolveJob",
     "ODMService",
     "ConnectionLost",
     "TcpServerControl",

@@ -6,7 +6,7 @@ right trade is to answer *more cheaply*, never *less safely*:
 
 ``EXACT``
     The capacity-quantized DP (:func:`repro.knapsack.solve_dp`),
-    sharded across the process pool.  Optimal under quantization.
+    cache- and delta-backed.  Optimal under quantization.
 ``HEURISTIC``
     Khan's HEU-OE greedy (:func:`repro.knapsack.solve_heu_oe`),
     ``O(n log n)`` per request.  Possibly sub-optimal *benefit*, never

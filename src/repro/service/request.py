@@ -23,6 +23,7 @@ the binary-framed TCP protocol of ``repro serve``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -152,10 +153,10 @@ class AdmissionRequest:
         for server_id, scale in self.server_estimates.items():
             if not server_id:
                 raise ValueError("server ids must be non-empty")
-            if scale <= 0:
+            if not (math.isfinite(scale) and scale > 0):
                 raise ValueError(
                     f"{self.request_id}: estimate for {server_id!r} "
-                    f"must be positive, got {scale}"
+                    f"must be finite and positive, got {scale}"
                 )
 
     def to_dict(self) -> Dict[str, object]:

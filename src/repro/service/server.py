@@ -7,8 +7,8 @@ into an online admission service:
 * requests are coalesced into micro-batches
   (:class:`~repro.service.batching.MicroBatcher`);
 * each batch's MCKP instances are solved through the cache-aware,
-  deduplicated, process-sharded
-  :class:`~repro.service.sharding.ShardSolver`;
+  deduplicated :class:`~repro.service.sharding.ShardSolver` over the
+  service's own :class:`~repro.knapsack.SolverCache`;
 * a bounded queue provides backpressure (overflow → ``shed``), and
   occupancy watermarks plus per-server circuit breakers drive the
   degradation ladder (:mod:`repro.service.degradation`);
@@ -42,7 +42,6 @@ from ..core.schedulability import theorem3_test
 from ..core.task import OffloadableTask
 from ..knapsack import SolverCache
 from ..observability import Observability
-from ..parallel import SweepRunner
 from ..runtime.health import BreakerBank
 from .aio import cancel_and_wait
 from .batching import BatchPolicy, MicroBatcher
@@ -97,14 +96,8 @@ class ODMService:
     ----------
     resolution:
         DP capacity quantization forwarded to :func:`solve_dp`.
-    workers:
-        Process-pool width for sharded solves (``<= 1`` = in-process).
     batch_policy / degradation_policy:
         See :class:`BatchPolicy` / :class:`DegradationPolicy`.
-    cache:
-        ``True`` (default) for a private :class:`SolverCache`, an
-        explicit instance to share one, or ``None``/``False`` to
-        disable memoization.
     observability:
         Optional :class:`Observability` bundle; service metrics land in
         its registry, events on its bus.
@@ -126,10 +119,8 @@ class ODMService:
     def __init__(
         self,
         resolution: int = 20_000,
-        workers: Optional[int] = None,
         batch_policy: Optional[BatchPolicy] = None,
         degradation_policy: Optional[DegradationPolicy] = None,
-        cache: "Optional[SolverCache | bool]" = True,
         observability: Optional[Observability] = None,
         breaker_kwargs: Optional[Dict[str, object]] = None,
         replica_id: str = "replica-0",
@@ -150,17 +141,12 @@ class ODMService:
         self.degradation_policy = (
             degradation_policy or DegradationPolicy()
         )
-        if cache is True:
-            # a deeper-than-default warm-start index: churned online
-            # traffic produces many distinct near-miss instances, and
-            # each retained state turns a future pool round-trip into
-            # an in-process frontier resume
-            cache = SolverCache(delta_maxstates=64)
-        elif cache is False:
-            cache = None
-        self.cache: Optional[SolverCache] = cache
-        self.runner = SweepRunner(workers=workers)
-        self.shard_solver = ShardSolver(self.runner, self.cache)
+        # a deeper-than-default warm-start index: churned online
+        # traffic produces many distinct near-miss instances, and each
+        # retained state turns a future scratch solve into a frontier
+        # resume
+        self.cache = SolverCache(delta_maxstates=64)
+        self.shard_solver = ShardSolver(self.cache)
         self.observability = (
             observability
             if observability is not None
@@ -189,15 +175,12 @@ class ODMService:
         self._m_latency = reg.histogram("service.solve_latency")
         self._m_dedup = reg.counter("service.dedup_hits")
         self._m_gossip = reg.counter("service.gossip_absorbed")
-        if self.cache is not None:
-            # surface hit/miss/near-hit counters in the same registry
-            # the rest of the service reports through
-            self.cache.bind_metrics(reg)
+        # surface hit/miss/near-hit counters in the same registry the
+        # rest of the service reports through
+        self.cache.bind_metrics(reg)
         # the wire path's parsed-request memo remembers as many
         # distinct contents as the solver cache holds solutions
-        self.request_memo = RequestMemo(
-            self.cache.maxsize if self.cache is not None else 256
-        )
+        self.request_memo = RequestMemo(self.cache.maxsize)
         self.request_memo.bind_metrics(reg)
 
     # ------------------------------------------------------------------
@@ -208,11 +191,10 @@ class ODMService:
         return self._loop_task is not None
 
     async def start(self) -> "ODMService":
-        """Create the queue, the worker pool and the batch loop."""
+        """Create the queue and the batch loop."""
         if self.started:
             return self
         self._batcher = MicroBatcher(self.batch_policy)
-        self.runner.start()
         self._loop_task = asyncio.create_task(
             self._batch_loop(), name="odm-service-batch-loop"
         )
@@ -250,7 +232,6 @@ class ODMService:
                 pending,
                 self._response(pending, status="shed", batch_size=0),
             )
-        self.runner.close()
         self._batcher = None
 
     async def __aenter__(self) -> "ODMService":
@@ -468,12 +449,8 @@ class ODMService:
     # The protocol logic lives in :mod:`repro.fleet.cachetier`; these
     # delegates import it lazily so ``repro.service`` never drags the
     # fleet package (which imports back into service) in at import time.
-    def cache_digest(
-        self, limit: int = 32
-    ) -> Optional[Dict[str, object]]:
-        """Gossip-piggybacked cache advertisement (``None`` = no cache)."""
-        if self.cache is None:
-            return None
+    def cache_digest(self, limit: int = 32) -> Dict[str, object]:
+        """Gossip-piggybacked cache advertisement."""
         from ..fleet.cachetier import cache_digest
 
         return cache_digest(self.cache, limit)
@@ -762,7 +739,7 @@ class ODMService:
         """A JSON-able snapshot of the service's vital signs."""
         reg = self.observability.metrics
         latency = self._m_latency
-        snapshot: Dict[str, object] = {
+        return {
             "replica_id": self.replica_id,
             "dedup_hits": reg.value("service.dedup_hits"),
             "requests": reg.value("service.requests"),
@@ -786,7 +763,6 @@ class ODMService:
             "solve_latency_p99": (
                 latency.percentile(99) if latency.count else 0.0
             ),
-            "parallel_mode": self.runner.last_mode,
             "breakers": {
                 server_id: breaker.state
                 for server_id, breaker in sorted(self.health.breakers.items())
@@ -795,16 +771,13 @@ class ODMService:
                 server_id: breaker.remote_trips
                 for server_id, breaker in sorted(self.health.breakers.items())
             },
+            "cache": self.cache.stats,
+            "request_memo": self.request_memo.stats,
+            "delta": {
+                "solves": self.shard_solver.delta_solves,
+                "layers_reused": self.shard_solver.delta_layers_reused,
+            },
         }
-        if self.cache is not None:
-            snapshot["cache"] = self.cache.stats
-        snapshot["request_memo"] = self.request_memo.stats
-        snapshot["delta"] = {
-            "solves": self.shard_solver.delta_solves,
-            "layers_reused": self.shard_solver.delta_layers_reused,
-            "inline_batches": self.shard_solver.inline_batches,
-        }
-        return snapshot
 
 
 # ----------------------------------------------------------------------
@@ -856,7 +829,7 @@ async def serve_tcp(
     vectorized ``batch_response``), ``outcome``
     (``server``/``ok``/``time``), ``window`` (close one health window),
     ``gossip`` (absorb an optional peer ``beacon``, reply with ours plus
-    a ``cache_digest`` advertisement when a cache is attached),
+    a ``cache_digest`` advertisement),
     ``cache_sync`` (bulk warm-replication pull: serialized hot cache
     entries + delta states the requester's ``have`` fingerprints lack,
     budget- and size-capped — see :mod:`repro.fleet.cachetier`),
@@ -1020,14 +993,13 @@ async def serve_tcp(
                         ) as exc:
                             await wire_error(f"bad beacon: {exc}")
                             continue
-                    gossip_reply: Dict[str, object] = {
-                        "op": "gossip",
-                        "beacon": service.beacon(),
-                    }
-                    digest = service.cache_digest()
-                    if digest is not None:
-                        gossip_reply["cache_digest"] = digest
-                    await reply(gossip_reply)
+                    await reply(
+                        {
+                            "op": "gossip",
+                            "beacon": service.beacon(),
+                            "cache_digest": service.cache_digest(),
+                        }
+                    )
                 elif op == "cache_sync":
                     try:
                         sync = service.cache_sync_reply(
@@ -1365,8 +1337,8 @@ class ServiceClient:
     ) -> Dict[str, object]:
         """Exchange beacons: push ``beacon`` (if any), pull the peer's.
 
-        Returns the whole reply: the peer's ``beacon`` plus, when it
-        runs a cache, its ``cache_digest`` advertisement.
+        Returns the whole reply: the peer's ``beacon`` plus its
+        ``cache_digest`` advertisement.
         """
         payload: Dict[str, object] = {"op": "gossip"}
         if beacon is not None:

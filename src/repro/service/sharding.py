@@ -1,42 +1,35 @@
-"""Cache-aware, deduplicated, process-sharded batch MCKP solving.
+"""Cache-aware, deduplicated batch MCKP solving.
 
 One micro-batch of admission requests becomes one call to
-:meth:`ShardSolver.solve_batch`, which layers three reuse mechanisms in
+:meth:`ShardSolver.solve_batch`, which puts three reuse mechanisms in
 front of the raw solvers — all of them exact-result-preserving:
 
 1. **Cache probe** (:class:`repro.knapsack.SolverCache`).  Online
    traffic re-submits the same believed task set with unchanged
    estimates over and over; those are dictionary lookups.
-2. **In-batch deduplication.**  Concurrent identical requests in the
+2. **Near-miss delta solving** for the ``"dp"`` solver.  An exact-key
+   miss probes the cache's bounded :class:`~repro.knapsack.delta.DeltaState`
+   table for a previously solved instance sharing a class prefix (the
+   churned-batch serving pattern) and, on a partial hit, repairs the
+   Pareto frontier via :func:`~repro.knapsack.solve_delta` instead of
+   paying a scratch solve.
+3. **In-batch deduplication.**  Concurrent identical requests in the
    same batch collapse to a single solve keyed by the same canonical
    instance fingerprint the cache uses.
-3. **Sharding.**  The surviving unique instances are distributed
-   across the :class:`repro.parallel.SweepRunner` process pool (one
-   unit per instance, order-preserving merge) and fall back to serial
-   solving under the runner's usual degradation contract.  Batches at
-   or below ``inline_units`` unique misses skip the pool entirely and
-   solve in-process: the per-unit IPC round trip costs several times a
-   service-sized solve, so sharding only pays off for wide batches.
 
-With a cache attached a fourth mechanism kicks in for the ``"dp"``
-solver: **near-miss delta solving**.  An exact-key miss probes the
-cache's bounded :class:`~repro.knapsack.delta.DeltaState` table for a
-previously solved instance sharing a class prefix (the churned-batch
-serving pattern) and, on a partial hit, repairs the Pareto frontier
-in-process via :func:`~repro.knapsack.solve_delta` instead of paying a
-scratch solve in the pool.  Scratch ``dp`` solves are themselves routed
-through ``solve_delta`` in the workers so their resumable states ship
-back and seed the table.
+The remaining unique misses are solved in-process, one scratch solve
+each in first-seen order.  Scratch ``dp`` solves run through
+``solve_delta`` so their resumable states seed the near-miss table.
 
-Determinism: solvers are pure functions of ``(instance, kwargs)`` and
-the merge is order-preserving, so a batched + sharded + cached answer
-is **bit-identical** to calling the same solver serially on the same
-instance — delta warm starts included, since ``solve_delta`` resumes
-the exact ``_run_dp`` instruction stream a scratch solve would execute.
-The differential suite pins that bit-identity, and separately pins the
-underlying ``solve_dp`` against the serial oracle
-``solve_dp_reference`` for feasibility / optimal value / minimal
-quantized weight (the two DPs may break argmax *ties* differently).
+Determinism: solvers are pure functions of ``(instance, kwargs)``, so a
+batched + cached answer is **bit-identical** to calling the same solver
+serially on the same instance — delta warm starts included, since
+``solve_delta`` resumes the exact ``_run_dp`` instruction stream a
+scratch solve would execute.  The differential suite pins that
+bit-identity, and separately pins the underlying ``solve_dp`` against
+the serial oracle ``solve_dp_reference`` for feasibility / optimal
+value / minimal quantized weight (the two DPs may break argmax *ties*
+differently).
 """
 
 from __future__ import annotations
@@ -45,98 +38,32 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..knapsack import (
     SOLVERS,
-    DeltaState,
     MCKPInstance,
     Selection,
     SolverCache,
     solve_delta,
 )
-from ..parallel import SweepRunner
 
-__all__ = ["SolveJob", "ShardSolver"]
-
-#: A unit of work: ``(solver_name, sorted kwargs items, instance)``.
-#: Everything is picklable, so units cross the process boundary as-is.
-SolveJob = Tuple[str, Tuple, MCKPInstance]
+__all__ = ["ShardSolver"]
 
 
-def _solve_unit(unit: SolveJob) -> Optional[Dict[str, int]]:
-    """Worker-side solve of one unique instance → choices dict."""
-    solver_name, kwargs_items, instance = unit
-    selection = SOLVERS[solver_name](instance, **dict(kwargs_items))
+def _choices(selection: Optional[Selection]) -> Optional[Dict[str, int]]:
     return None if selection is None else dict(selection.choices)
-
-
-def _solve_unit_with_state(
-    unit: SolveJob,
-) -> Tuple[Optional[Dict[str, int]], Optional[DeltaState]]:
-    """Worker-side scratch ``dp`` solve that also returns the resumable
-    :class:`DeltaState` (numpy arrays — pickles back fine)."""
-    _, kwargs_items, instance = unit
-    result = solve_delta(instance, **dict(kwargs_items))
-    choices = (
-        None
-        if result.selection is None
-        else dict(result.selection.choices)
-    )
-    return choices, result.state
 
 
 class ShardSolver:
     """Batch front-end over the solver registry (see module docstring).
 
-    Parameters
-    ----------
-    runner:
-        The process-pool runner shared with the rest of the service.
-        Start it (:meth:`~repro.parallel.SweepRunner.start`) to reuse
-        one pool across batches; unstarted runners still work but pay
-        pool startup per batch (or run serially for ``workers <= 1``).
-    cache:
-        Optional :class:`SolverCache`; ``None`` disables memoization
-        (every batch still deduplicates internally).
-    delta:
-        Enable near-miss delta solving for ``"dp"`` entries.  Defaults
-        to on whenever a cache is attached (the delta-state table lives
-        in the cache); forced off without one.
-    inline_units:
-        Micro-batches whose unique-miss count is at or below this
-        threshold solve in-process instead of sharding.  The pool's
-        per-unit round trip (pickling the instance out and the numpy
-        :class:`DeltaState` back) costs several times a service-sized
-        scratch solve, so small batches are strictly faster inline;
-        the pool only pays off once a batch is wide enough to amortize
-        the IPC across workers.  Either route runs the same solver
-        functions, so results stay bit-identical.
+    ``cache`` holds every solved answer and the delta-state table the
+    near-miss probe reads; the solver writes both.
     """
 
-    def __init__(
-        self,
-        runner: Optional[SweepRunner] = None,
-        cache: Optional[SolverCache] = None,
-        delta: Optional[bool] = None,
-        inline_units: int = 16,
-    ) -> None:
-        self.runner = runner if runner is not None else SweepRunner()
+    def __init__(self, cache: SolverCache) -> None:
         self.cache = cache
-        self.delta = (cache is not None) if delta is None else (
-            bool(delta) and cache is not None
-        )
-        self.inline_units = max(0, int(inline_units))
-        #: delta solves answered in-process from a near-miss probe
+        #: delta solves answered from a near-miss probe
         self.delta_solves = 0
         #: sparse DP layers skipped thanks to warm starts
         self.delta_layers_reused = 0
-        #: batches whose misses were solved inline (below threshold)
-        self.inline_batches = 0
-
-    def _delta_eligible(self, solver_name: str, kwargs: Dict) -> bool:
-        """Delta solving covers exactly the ``solve_dp`` signature."""
-        return (
-            self.delta
-            and solver_name == "dp"
-            and set(kwargs) <= {"resolution"}
-        )
 
     def solve_batch(
         self,
@@ -147,19 +74,13 @@ class ShardSolver:
         Returns one ``Optional[Selection]`` per entry (``None`` =
         infeasible), each bound to the caller's own instance object.
         """
-        n = len(entries)
-        results: List[Optional[Dict[str, int]]] = [None] * n
-        solved: List[bool] = [False] * n
+        cache = self.cache
+        results: List[Optional[Dict[str, int]]] = [None] * len(entries)
 
-        # Pass 1: cache probes + in-batch dedup bookkeeping.  Exact
-        # misses that near-miss the delta-state table are repaired
-        # in-process right here (a warm start is cheaper than shipping
-        # the instance to a worker); only true scratch solves shard.
-        keys: List[Tuple] = []
-        pending: "Dict[Tuple, List[int]]" = {}
-        units: List[SolveJob] = []
-        unit_keys: List[Tuple] = []
-        unit_delta: List[bool] = []
+        # Pass 1: cache probes, near-miss delta repairs and in-batch
+        # dedup bookkeeping.
+        pending: Dict[Tuple, List[int]] = {}
+        misses: List[Tuple[Tuple, str, MCKPInstance, Dict, bool]] = []
         for i, (solver_name, instance, kwargs) in enumerate(entries):
             if solver_name not in SOLVERS:
                 raise ValueError(
@@ -167,81 +88,44 @@ class ShardSolver:
                     f"available: {sorted(SOLVERS)}"
                 )
             key = SolverCache.key_for(solver_name, instance, **kwargs)
-            keys.append(key)
-            eligible = self._delta_eligible(solver_name, kwargs)
-            if self.cache is not None:
-                hit, choices = self.cache.lookup(key)
-                if hit:
-                    results[i] = choices
-                    solved[i] = True
-                    continue
-                if eligible and key not in pending:
-                    state = self.cache.probe_delta(
-                        instance, kwargs.get("resolution", 20_000)
-                    )
-                    if state is not None:
-                        result = solve_delta(
-                            instance, state=state, **kwargs
-                        )
-                        choices = (
-                            None
-                            if result.selection is None
-                            else dict(result.selection.choices)
-                        )
-                        self.cache.store(key, choices)
-                        self.cache.store_state(key, result.state)
-                        self.delta_solves += 1
-                        self.delta_layers_reused += result.reused_layers
-                        results[i] = choices
-                        solved[i] = True
-                        continue
+            hit, choices = cache.lookup(key)
+            if hit:
+                results[i] = choices
+                continue
             waiters = pending.get(key)
-            if waiters is None:
-                pending[key] = [i]
-                units.append(
-                    (solver_name, tuple(sorted(kwargs.items())), instance)
-                )
-                unit_keys.append(key)
-                unit_delta.append(eligible and self.cache is not None)
-            else:
+            if waiters is not None:
                 waiters.append(i)
-
-        # Pass 2: shard the unique misses across the pool.  Delta-
-        # eligible scratch solves run through ``solve_delta`` so their
-        # resumable states come back and seed the near-miss table.
-        if units:
-            plain = [u for u, d in zip(units, unit_delta) if not d]
-            stateful = [u for u, d in zip(units, unit_delta) if d]
-            if len(units) <= self.inline_units:
-                self.inline_batches += 1
-                plain_out = [_solve_unit(u) for u in plain]
-                stateful_out = [
-                    _solve_unit_with_state(u) for u in stateful
-                ]
-            else:
-                plain_out = (
-                    self.runner.map(_solve_unit, plain) if plain else []
+                continue
+            # delta solving covers exactly the ``solve_dp`` signature
+            delta = solver_name == "dp" and set(kwargs) <= {"resolution"}
+            if delta:
+                state = cache.probe_delta(
+                    instance, kwargs.get("resolution", 20_000)
                 )
-                stateful_out = (
-                    self.runner.map(_solve_unit_with_state, stateful)
-                    if stateful
-                    else []
-                )
-            plain_iter = iter(plain_out)
-            stateful_iter = iter(stateful_out)
-            for key, is_delta in zip(unit_keys, unit_delta):
-                if is_delta:
-                    choices, state = next(stateful_iter)
-                    self.cache.store_state(key, state)
-                else:
-                    choices = next(plain_iter)
-                if self.cache is not None:
-                    self.cache.store(key, choices)
-                for i in pending[key]:
+                if state is not None:
+                    result = solve_delta(instance, state=state, **kwargs)
+                    choices = _choices(result.selection)
+                    cache.store(key, choices)
+                    cache.store_state(key, result.state)
+                    self.delta_solves += 1
+                    self.delta_layers_reused += result.reused_layers
                     results[i] = choices
-                    solved[i] = True
+                    continue
+            pending[key] = [i]
+            misses.append((key, solver_name, instance, kwargs, delta))
 
-        assert all(solved), "shard solve left unanswered entries"
+        # Pass 2: one scratch solve per unique miss, first seen first.
+        for key, solver_name, instance, kwargs, delta in misses:
+            if delta:
+                result = solve_delta(instance, **kwargs)
+                choices = _choices(result.selection)
+                cache.store_state(key, result.state)
+            else:
+                choices = _choices(SOLVERS[solver_name](instance, **kwargs))
+            cache.store(key, choices)
+            for i in pending[key]:
+                results[i] = choices
+
         return [
             None
             if choices is None

@@ -39,7 +39,6 @@ def make_replica(replica_id="replica-0"):
     return ReplicaProcess(
         replica_id,
         lambda: ODMService(
-            workers=1,
             replica_id=replica_id,
             batch_policy=BatchPolicy(
                 max_batch=8, max_wait=0.001, queue_capacity=32

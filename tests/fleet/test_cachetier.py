@@ -136,11 +136,6 @@ def test_reply_enforces_size_cap_and_counts_skips():
     assert reply["oversize_skipped"] == 6
 
 
-def test_reply_for_missing_cache_is_empty():
-    reply = build_sync_reply(None)
-    assert reply["entries"] == [] and reply["states"] == []
-
-
 # ----------------------------------------------------------------------
 # absorption
 # ----------------------------------------------------------------------

@@ -21,7 +21,6 @@ def make_replica(replica_id):
     return ReplicaProcess(
         replica_id,
         lambda: ODMService(
-            workers=1,
             replica_id=replica_id,
             batch_policy=BatchPolicy(
                 max_batch=4, max_wait=0.001, queue_capacity=16
@@ -47,7 +46,7 @@ class TestHealthBeacon:
 
     def test_from_service_beacon(self):
         async def scenario():
-            async with ODMService(workers=1) as service:
+            async with ODMService() as service:
                 return service.beacon()
 
         record = asyncio.run(scenario())
@@ -63,9 +62,9 @@ class TestHealthBeacon:
         async def scenario():
             kwargs = {"min_samples": 2, "cooldown_windows": 1}
             async with ODMService(
-                workers=1, replica_id="a", breaker_kwargs=kwargs
+                replica_id="a", breaker_kwargs=kwargs
             ) as a, ODMService(
-                workers=1, replica_id="b", breaker_kwargs=kwargs
+                replica_id="b", breaker_kwargs=kwargs
             ) as b:
                 for _ in range(3):
                     a.record_outcome("flaky", False)
@@ -248,7 +247,7 @@ class TestGossipAgent:
         assert rounds >= 2
 
     def test_validation(self):
-        service = ODMService(workers=1)
+        service = ODMService()
         with pytest.raises(ValueError, match="interval"):
             GossipAgent(service, peers={}, interval=0.0)
         with pytest.raises(ValueError, match="timeout"):

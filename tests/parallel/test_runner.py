@@ -65,10 +65,6 @@ class TestSweepRunnerSerial:
         with pytest.raises(ValueError, match="poisoned"):
             SweepRunner(workers=1).map(_maybe_fail, range(5))
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            SweepRunner(chunk_size=0)
-
     def test_chunks_cover_all_units(self):
         runner = SweepRunner(workers=3)
         spans = runner._chunks(17)

@@ -14,7 +14,7 @@ Two contracts are pinned over a 300+ instance corpus:
 
 2. **Bit-identity of every service fast path vs the serial solve.**
    The :class:`SolverCache` hit path, in-batch deduplication, the
-   sharded process-pool path, and the warm-start delta path (scratch,
+   batch solver's scratch path, and the warm-start delta path (scratch,
    exact cached hit, and near-miss partial hit — see
    ``test_every_solver_path_is_bit_identical``) are pure plumbing
    around ``solve_dp``; their answers must be *bit-identical* (same
@@ -28,6 +28,7 @@ straddle the ceil boundary, plus tiny integer values that force
 equal-value optima.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -41,7 +42,7 @@ from repro.knapsack import (
     solve_dp_reference,
 )
 from repro.knapsack.dp import _quantize_weight
-from repro.parallel import SweepRunner
+from repro.knapsack.serialize import key_fingerprint
 from repro.service import ShardSolver
 
 RESOLUTION = 1_000
@@ -177,25 +178,19 @@ def test_cache_hit_path_is_bit_identical_to_serial(corpus, serial):
     assert cache.misses == len(corpus)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_batched_sharded_path_is_bit_identical_to_serial(
-    corpus, serial, workers
-):
+def test_batched_path_is_bit_identical_to_serial(corpus, serial):
     cache = SolverCache(maxsize=1024)
     entries = [
         ("dp", instance, {"resolution": RESOLUTION})
         for instance in corpus
     ]
-    with SweepRunner(workers=workers) as runner:
-        # inline_units=0 forces every miss through the pool so this
-        # test keeps pinning the sharded merge path specifically
-        solver = ShardSolver(runner, cache=cache, inline_units=0)
-        # batch sizes mimic service micro-batches; the second pass runs
-        # entirely on cache hits and must not drift
-        first_pass = []
-        for start in range(0, len(entries), 16):
-            first_pass += solver.solve_batch(entries[start:start + 16])
-        second_pass = solver.solve_batch(entries)
+    solver = ShardSolver(cache)
+    # batch sizes mimic service micro-batches; the second pass runs
+    # entirely on cache hits and must not drift
+    first_pass = []
+    for start in range(0, len(entries), 16):
+        first_pass += solver.solve_batch(entries[start:start + 16])
+    second_pass = solver.solve_batch(entries)
     assert cache.hits >= len(entries)
     for selection, baseline, instance in zip(first_pass, serial, corpus):
         assert_bit_identical(selection, baseline, instance)
@@ -261,30 +256,6 @@ def test_every_solver_path_is_bit_identical(corpus, serial, path):
         assert warm_started >= len(corpus) * 9 // 10
 
 
-def test_inline_and_sharded_routes_are_bit_identical(corpus, serial):
-    """Small batches dodge the process pool (``inline_units``); the
-    inline route must answer exactly what the sharded route answers."""
-    subset = list(range(0, 40))
-    entries = [
-        ("dp", corpus[i], {"resolution": RESOLUTION}) for i in subset
-    ]
-    with SweepRunner(workers=2) as runner:
-        pooled = ShardSolver(
-            runner, cache=SolverCache(maxsize=64), inline_units=0
-        )
-        inline = ShardSolver(
-            runner, cache=SolverCache(maxsize=64),
-            inline_units=len(entries),
-        )
-        pooled_out = pooled.solve_batch(entries)
-        inline_out = inline.solve_batch(entries)
-    assert pooled.inline_batches == 0
-    assert inline.inline_batches == 1
-    for i, a, b in zip(subset, pooled_out, inline_out):
-        assert_bit_identical(a, serial[i], corpus[i])
-        assert_bit_identical(b, serial[i], corpus[i])
-
-
 def test_shard_solver_near_miss_path_is_bit_identical(corpus, serial):
     """The service-level delta route: a batch of churned siblings seeds
     the cache's state index, then the original corpus arrives and must
@@ -293,25 +264,79 @@ def test_shard_solver_near_miss_path_is_bit_identical(corpus, serial):
     rng = random.Random(424242)
     subset = list(range(0, len(corpus), 5))  # every 5th instance
     cache = SolverCache(maxsize=1024, delta_maxstates=len(subset) + 1)
-    with SweepRunner(workers=1) as runner:
-        solver = ShardSolver(runner, cache=cache)
-        siblings = [
-            ("dp", churned_sibling(corpus[i], rng),
-             {"resolution": RESOLUTION})
-            for i in subset
-        ]
-        solver.solve_batch(siblings)
-        results = solver.solve_batch(
-            [
-                ("dp", corpus[i], {"resolution": RESOLUTION})
-                for i in subset
-            ]
-        )
+    solver = ShardSolver(cache)
+    siblings = [
+        ("dp", churned_sibling(corpus[i], rng), {"resolution": RESOLUTION})
+        for i in subset
+    ]
+    solver.solve_batch(siblings)
+    results = solver.solve_batch(
+        [("dp", corpus[i], {"resolution": RESOLUTION}) for i in subset]
+    )
     for index, selection in zip(subset, results):
         assert_bit_identical(selection, serial[index], corpus[index])
     assert cache.near_hits > 0
     assert solver.delta_solves > 0
     assert solver.delta_layers_reused > 0
+
+
+def churned_batches(corpus, seed: int = 2014):
+    """A seeded stream of service-shaped batches over the corpus: exact
+    repeats, in-batch duplicates, churned siblings of recent instances
+    and a heuristic share."""
+    rng = random.Random(seed)
+    recent = []
+    batches = []
+    for _ in range(40):
+        batch = []
+        for _ in range(rng.randint(1, 12)):
+            roll = rng.random()
+            if recent and roll < 0.35:
+                instance = rng.choice(recent)
+            elif recent and roll < 0.75:
+                instance = churned_sibling(rng.choice(recent), rng)
+            else:
+                instance = corpus[rng.randrange(len(corpus))]
+            recent = (recent + [instance])[-24:]
+            if rng.random() < 0.15:
+                batch.append(("heu_oe", instance, {}))
+            else:
+                batch.append(("dp", instance, {"resolution": RESOLUTION}))
+        batches.append(batch)
+    return batches
+
+
+#: what ``churned_batches`` leaves behind (267 entries in 40 batches)
+PINNED_STATS = {
+    "hits": 67, "misses": 200, "near_hits": 48, "entries": 48,
+    "delta_states": 8,
+}
+PINNED_DELTA = (48, 99)  # delta solves, DP layers they reused
+PINNED_ORDER = "7e66723eb268a0ce"
+
+
+def test_churned_stream_leaves_pinned_cache_counters(corpus):
+    """Every cache counter, the LRU order of entries and delta states,
+    and the delta counters after a churned stream are pinned: a
+    restructure of the batch solver must probe, store and evict in
+    exactly the order it always has.  The cache is small enough that
+    both tables evict."""
+    cache = SolverCache(maxsize=48, delta_maxstates=8)
+    solver = ShardSolver(cache)
+    for batch in churned_batches(corpus):
+        solver.solve_batch(batch)
+    stats = cache.stats
+    assert {
+        name: stats[name]
+        for name in ("hits", "misses", "near_hits", "entries", "delta_states")
+    } == PINNED_STATS
+    assert (solver.delta_solves, solver.delta_layers_reused) == PINNED_DELTA
+    order = ",".join(key_fingerprint(key) for key in cache.keys())
+    order += ";" + ",".join(
+        key_fingerprint(key) for key, _ in cache.hot_states(8)
+    )
+    digest = hashlib.blake2b(order.encode(), digest_size=8).hexdigest()
+    assert digest == PINNED_ORDER
 
 
 def test_energy_odm_matches_brute_force_enumerator():

@@ -105,7 +105,6 @@ def test_in_process_run_is_audit_clean(batched):
 
     async def scenario():
         service = ODMService(
-            workers=1,
             batch_policy=BatchPolicy(
                 max_batch=8, max_wait=0.001, queue_capacity=64
             ),
@@ -216,7 +215,6 @@ class TestOpenLoopRun:
     def test_in_process_run_is_audit_clean(self):
         async def scenario():
             service = ODMService(
-                workers=1,
                 batch_policy=BatchPolicy(
                     max_batch=8, max_wait=0.0005, queue_capacity=64
                 ),

@@ -8,13 +8,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.knapsack import SolverCache
 from repro.service import (
     AdmissionRequest,
     BatchPolicy,
     ODMService,
     OpenLoopConfig,
     ServiceClient,
+    decode_frame,
     encode_frame,
     generate_open_loop,
     task_to_dict,
@@ -63,7 +63,6 @@ async def read_raw_frame(reader):
 
 
 def make_service(**kwargs):
-    kwargs.setdefault("workers", 1)
     kwargs.setdefault(
         "batch_policy",
         BatchPolicy(max_batch=8, max_wait=0.001, queue_capacity=256),
@@ -201,10 +200,8 @@ def test_resident_entries_never_exceed_the_capacity():
 
 
 def test_the_service_sizes_its_memo_like_its_solver_cache():
-    assert make_service().request_memo.capacity == 256
-    shared = SolverCache(maxsize=32)
-    assert make_service(cache=shared).request_memo.capacity == 32
-    assert make_service(cache=None).request_memo.capacity == 256
+    service = make_service()
+    assert service.request_memo.capacity == service.cache.maxsize
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +291,10 @@ MALFORMED = [
     ("missing field", {"request_id": "x", "tasks": [{"task_id": "t"}]}),
     ("non-numeric wcet", tiny_record("x", wcet="slow")),
     ("NaN wcet", tiny_record("x", wcet=float("nan"))),
+    ("NaN estimate", dict(tiny_record("x"), server_estimates={
+        "edge": float("nan")})),
+    ("infinite estimate", dict(tiny_record("x"), server_estimates={
+        "edge": float("inf")})),
     ("non-list benefit", {
         "request_id": "x",
         "tasks": [dict(
@@ -352,6 +353,54 @@ def test_malformed_records_get_the_parser_error_and_are_never_stored(record):
     assert memo.lookups == 5
     assert memo.hits == 0
     assert memo.resident == 0
+
+
+def test_a_non_finite_estimate_spares_the_requests_batched_with_it():
+    """A NaN or infinite estimate is refused at parse time with an
+    ``error`` frame; a valid admission sent in the same write, and so
+    batched with it, is still answered."""
+    good = wire_record(make_request("good"))
+    bad_estimates = [float("nan"), float("inf"), float("nan")]
+
+    async def scenario():
+        port = free_port()
+        service = make_service()
+        serve_task = await serving(port, service=service)
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        rounds = []
+        for lap, scale in enumerate(bad_estimates):
+            bad = dict(good, request_id=f"bad-{lap}",
+                       server_estimates={"edge": scale, "cloud": 1.25})
+            writer.write(
+                encode_frame({"op": "admit",
+                              "request": dict(good, request_id=f"g-{lap}")})
+                + encode_frame({"op": "admit", "request": bad})
+            )
+            await writer.drain()
+            frames = [
+                decode_frame(await asyncio.wait_for(
+                    read_raw_frame(reader), timeout=10.0))[0]
+                for _ in range(2)
+            ]
+            rounds.append(sorted(frames, key=lambda f: f["op"]))
+        writer.write(encode_frame({"op": "shutdown"}))
+        await writer.drain()
+        await read_raw_frame(reader)
+        writer.close()
+        await writer.wait_closed()
+        await asyncio.wait_for(serve_task, timeout=10.0)
+        return rounds, service.request_memo
+
+    rounds, memo = asyncio.run(scenario())
+    for lap, (error, response) in enumerate(rounds):
+        assert error["op"] == "error"
+        assert "must be finite and positive" in error["error"]
+        assert response["op"] == "response"
+        assert response["request_id"] == f"g-{lap}"
+        assert response["status"] == "admitted"
+    # the valid content is resident; the poisoned one never is
+    assert memo.lookups == 6
+    assert memo.resident == 1
 
 
 def test_admit_batch_goes_through_the_memo():

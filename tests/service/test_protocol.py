@@ -67,7 +67,6 @@ def make_request(request_id="r1", seed=1):
 
 def make_service():
     return ODMService(
-        workers=1,
         batch_policy=BatchPolicy(max_batch=8, max_wait=0.001,
                                  queue_capacity=32),
     )
@@ -453,7 +452,6 @@ def test_client_round_trip_counts_frames():
         port = free_port()
         obs = Observability.enabled(profile=False)
         service = ODMService(
-            workers=1,
             batch_policy=BatchPolicy(
                 max_batch=8, max_wait=0.001, queue_capacity=32
             ),

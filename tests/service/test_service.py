@@ -36,7 +36,6 @@ def make_request(request_id="r1", seed=1, utilization=0.5, servers=None):
 
 
 def small_service(**kwargs):
-    kwargs.setdefault("workers", 1)
     kwargs.setdefault(
         "batch_policy",
         BatchPolicy(max_batch=8, max_wait=0.001, queue_capacity=32),

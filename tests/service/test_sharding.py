@@ -11,7 +11,6 @@ from repro.knapsack import (
     SOLVERS,
     SolverCache,
 )
-from repro.parallel import SweepRunner
 from repro.service import ShardSolver
 
 
@@ -39,14 +38,12 @@ def entries_for(instances):
     return entries
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_batched_equals_serial_bit_for_bit(workers):
+def test_batched_equals_serial_bit_for_bit():
     rng = random.Random(5)
     instances = [random_instance(rng) for _ in range(12)]
     entries = entries_for(instances)
 
-    with SweepRunner(workers=workers) as runner:
-        batched = ShardSolver(runner, cache=None).solve_batch(entries)
+    batched = ShardSolver(SolverCache()).solve_batch(entries)
 
     for (name, instance, kwargs), selection in zip(entries, batched):
         serial = SOLVERS[name](instance, **kwargs)
@@ -64,7 +61,7 @@ def test_cache_probes_avoid_resolves():
     instances = [random_instance(rng) for _ in range(6)]
     entries = entries_for(instances)
     cache = SolverCache()
-    solver = ShardSolver(SweepRunner(workers=1), cache=cache)
+    solver = ShardSolver(cache)
 
     first = solver.solve_batch(entries)
     assert cache.hits == 0
@@ -85,7 +82,7 @@ def test_in_batch_dedup_collapses_identical_requests():
     instance = random_instance(rng)
     entries = [("dp", instance, {"resolution": 20})] * 5
     cache = SolverCache()
-    solver = ShardSolver(SweepRunner(workers=1), cache=cache)
+    solver = ShardSolver(cache)
 
     results = solver.solve_batch(entries)
     # five lookups missed, but only ONE solve was stored
@@ -104,7 +101,7 @@ def test_dedup_distinguishes_solver_and_kwargs():
     rng = random.Random(13)
     instance = random_instance(rng)
     cache = SolverCache()
-    solver = ShardSolver(SweepRunner(workers=1), cache=cache)
+    solver = ShardSolver(cache)
     solver.solve_batch(
         [
             ("dp", instance, {"resolution": 20}),
@@ -118,11 +115,11 @@ def test_dedup_distinguishes_solver_and_kwargs():
 
 def test_unknown_solver_raises():
     rng = random.Random(17)
-    solver = ShardSolver(SweepRunner(workers=1), cache=None)
+    solver = ShardSolver(SolverCache())
     with pytest.raises(ValueError, match="unknown solver"):
         solver.solve_batch([("nope", random_instance(rng), {})])
 
 
 def test_empty_batch_is_noop():
-    solver = ShardSolver(SweepRunner(workers=1), cache=None)
+    solver = ShardSolver(SolverCache())
     assert solver.solve_batch([]) == []
