@@ -34,6 +34,20 @@ scratch solve, so the exact-keying correctness story is unchanged.
 Successful probes count as ``near_hits`` (a subset of ``misses``: the
 exact probe already missed by then).
 
+The probe does not scan the state table.  Every stored state is
+registered under ``h_L`` for each layer prefix ``L`` it can resume,
+where ``h_L`` is a hash of its capacity and resolution chained through
+its first ``L`` class keys.  A probe hashes its own instance's
+prefixes one class at a time while some state is registered under
+them, then looks those buckets up longest first — at most O(layers)
+dict lookups, whatever the table size, and one class key when no
+state shares even the first class.  Each candidate is confirmed with
+:func:`~repro.knapsack.delta.common_prefix`, so a hash collision can
+cost a comparison but never resume a wrong state.  Buckets keep their
+states in the table's LRU order, and the probe takes the first
+confirmed one: among states tied on the longest prefix, the oldest
+wins, exactly as a front-to-back scan of the table would choose.
+
 Warm replication
 ----------------
 In a fleet, a peer replica may have already solved an instance this
@@ -63,9 +77,21 @@ the service stats endpoint see them.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import count
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
-from .delta import DeltaState, common_prefix, instance_class_keys
+from .delta import ClassKey, DeltaState, class_key, common_prefix
 from .mckp import MCKPInstance, Selection
 
 __all__ = ["SolverCache", "canonical_instance_key"]
@@ -82,6 +108,36 @@ class _CacheEntry:
         self.choices = choices
         self.origin = origin
         self.hits = 0
+
+
+class _StateEntry(NamedTuple):
+    """One stored delta state plus the prefix-index slots it fills.
+
+    Index buckets are keyed by ``serial``, a small int, so bucket upkeep
+    never re-hashes the (large) cache key.
+    """
+
+    key: Tuple
+    state: DeltaState
+    serial: int
+    slots: Set[int]
+
+
+def prefix_hashes(
+    capacity: float, resolution: int, keys: Iterable[ClassKey]
+) -> Iterator[Tuple[ClassKey, int]]:
+    """Yield ``(keys[L - 1], h_L)`` for ``L = 1, 2, ...``, lazily.
+
+    ``h_L`` is a hash of ``(capacity, resolution, keys[:L])`` chained
+    one class key at a time.  Equal inputs always hash equal (tuple
+    hashing follows ``==``, so ``0.0`` and ``-0.0`` agree); unequal
+    ones may collide, which is why the near-miss index confirms every
+    candidate it finds.
+    """
+    chained = hash((capacity, resolution))
+    for key in keys:
+        chained = hash((chained, key))
+        yield key, chained
 
 
 def canonical_instance_key(instance: MCKPInstance) -> Tuple:
@@ -129,6 +185,8 @@ class SolverCache:
         "replicated_states_in",
         "_entries",
         "_delta_states",
+        "_prefix_index",
+        "_serials",
         "_metrics",
         "_metrics_prefix",
     )
@@ -152,9 +210,13 @@ class SolverCache:
         # key -> _CacheEntry (choices dict or None = infeasible)
         self._entries: "OrderedDict[Tuple, _CacheEntry]" = OrderedDict()
         # key -> resumable DP state for near-miss warm starts
-        self._delta_states: "OrderedDict[Tuple, DeltaState]" = (
+        self._delta_states: "OrderedDict[Tuple, _StateEntry]" = (
             OrderedDict()
         )
+        # prefix hash -> {serial: entry}, each bucket in the delta
+        # table's LRU order (see module docstring)
+        self._prefix_index: Dict[int, Dict[int, _StateEntry]] = {}
+        self._serials = count()
         self._metrics = None
         self._metrics_prefix = "solver_cache"
 
@@ -164,6 +226,7 @@ class SolverCache:
     def clear(self) -> None:
         self._entries.clear()
         self._delta_states.clear()
+        self._prefix_index.clear()
         self._refresh_gauges()
 
     @property
@@ -349,50 +412,101 @@ class SolverCache:
         """Up to ``budget`` ``(key, state)`` pairs, most recent first."""
         if budget <= 0:
             return []
-        items = list(self._delta_states.items())
-        return items[-budget:][::-1]
+        entries = list(self._delta_states.values())
+        return [(entry.key, entry.state) for entry in entries[-budget:][::-1]]
 
     # ------------------------------------------------------------------
     # near-miss delta states
     # ------------------------------------------------------------------
     def store_state(self, key: Tuple, state: Optional[DeltaState]) -> None:
-        """Keep ``state`` for future warm starts (LRU, small bound)."""
+        """Keep ``state`` for future warm starts (LRU, small bound).
+
+        The state must not change once stored: its index slots are
+        derived from its class keys and folded layers here.
+        """
         if state is None or self.delta_maxstates == 0:
             return
-        self._delta_states[key] = state
-        self._delta_states.move_to_end(key)
-        while len(self._delta_states) > self.delta_maxstates:
-            self._delta_states.popitem(last=False)
+        table = self._delta_states
+        held = table.pop(key, None)
+        if held is not None:
+            self._unindex(held)
+        layers = min(state.num_layers, len(state.class_keys))
+        slots = {
+            slot
+            for _, slot in prefix_hashes(
+                state.capacity, state.resolution, state.class_keys[:layers]
+            )
+        }
+        entry = _StateEntry(key, state, next(self._serials), slots)
+        table[key] = entry
+        for slot in slots:
+            self._prefix_index.setdefault(slot, {})[entry.serial] = entry
+        while len(table) > self.delta_maxstates:
+            self._unindex(table.popitem(last=False)[1])
         self._refresh_gauges()
+
+    def _unindex(self, entry: _StateEntry) -> None:
+        index = self._prefix_index
+        for slot in entry.slots:
+            bucket = index[slot]
+            del bucket[entry.serial]
+            if not bucket:
+                del index[slot]
 
     def probe_delta(
         self, instance: MCKPInstance, resolution: int
     ) -> Optional[DeltaState]:
         """Best warm-start state for ``instance``, or ``None``.
 
-        Scans the (small, bounded) delta-state table for the state
-        sharing the longest resumable class prefix — at least one layer
-        — with ``instance`` at this ``resolution``.  A successful probe
-        counts as a near-hit and refreshes the state's LRU recency.
+        Looks up the prefix index (module docstring) longest prefix
+        first for the state sharing the longest resumable class prefix
+        — at least one layer — with ``instance`` at this
+        ``resolution``; among tied states the least recently used
+        wins.  A successful probe counts as a near-hit and refreshes
+        the state's LRU recency.
         """
         if not self._delta_states:
             return None
-        keys = instance_class_keys(instance)
-        best_key = None
-        best_state = None
-        best_prefix = 0
-        for key, state in self._delta_states.items():
-            prefix = common_prefix(
-                state, keys, instance.capacity, resolution
-            )
-            if prefix > best_prefix:
-                best_key, best_state, best_prefix = key, state, prefix
-        if best_state is None:
+        best = self._longest_prefix(instance, resolution)
+        if best is None:
             return None
         self.near_hits += 1
         self._count("near_hits")
-        self._delta_states.move_to_end(best_key)
-        return best_state
+        self._delta_states.move_to_end(best.key)
+        serial = best.serial
+        for slot in best.slots:
+            bucket = self._prefix_index[slot]
+            bucket[serial] = bucket.pop(serial)
+        return best.state
+
+    def _longest_prefix(
+        self, instance: MCKPInstance, resolution: int
+    ) -> Optional[_StateEntry]:
+        """The oldest entry sharing the longest confirmed prefix."""
+        capacity = instance.capacity
+        # Walk up while some state is registered under the prefix: an
+        # equal prefix hashes equal, so none shares a longer one, and a
+        # miss costs one class key instead of all of them.
+        keys: List[ClassKey] = []
+        buckets = []
+        for key, slot in prefix_hashes(
+            capacity, resolution, map(class_key, instance.classes)
+        ):
+            bucket = self._prefix_index.get(slot)
+            if bucket is None:
+                break
+            keys.append(key)
+            buckets.append(bucket)
+        # Then down, longest first: a bucket may hold collisions.
+        prefix_keys = tuple(keys)
+        for length in range(len(buckets), 0, -1):
+            for entry in buckets[length - 1].values():
+                prefix = common_prefix(
+                    entry.state, prefix_keys, capacity, resolution
+                )
+                if prefix >= length:
+                    return entry
+        return None
 
     def solve(
         self,

@@ -154,6 +154,44 @@ def test_absorb_replicates_and_attributes_hits():
     assert target.stats["hits_local"] == 0
 
 
+def test_replicated_state_warm_starts_a_churned_sibling():
+    """A state that came over the wire (encode, decode, absorb) is
+    indexed like a local one: a probe for a churned sibling finds it,
+    and resuming from it is bit-identical to a scratch solve."""
+    source = SolverCache(maxsize=64, delta_maxstates=8)
+    solved = _instance(3)
+    source.store_state(
+        SolverCache.key_for("dp", solved, resolution=RESOLUTION),
+        solve_delta(solved, resolution=RESOLUTION).state,
+    )
+    target = SolverCache(maxsize=64, delta_maxstates=8)
+    counts = absorb_sync_reply(target, build_sync_reply(source))
+    assert counts["states"] == 1
+    # same first class, re-weighted second class
+    sibling = MCKPInstance(
+        classes=(
+            solved.classes[0],
+            MCKPClass(
+                "c1",
+                (
+                    MCKPItem(value=2.0, weight=0.0),
+                    MCKPItem(value=9.0, weight=2.25),
+                ),
+            ),
+        ),
+        capacity=solved.capacity,
+    )
+    state = target.probe_delta(sibling, RESOLUTION)
+    assert state is not None
+    assert target.stats["near_hits"] == 1
+    result = solve_delta(sibling, resolution=RESOLUTION, state=state)
+    scratch = solve_dp(sibling, resolution=RESOLUTION)
+    assert result.reused_layers == 1
+    assert result.selection.choices == scratch.choices
+    assert result.selection.total_value == scratch.total_value
+    assert result.selection.total_weight == scratch.total_weight
+
+
 def test_absorb_never_overwrites_resident_entries():
     source = _filled_cache(3)
     target = _filled_cache(3)

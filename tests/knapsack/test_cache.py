@@ -145,6 +145,18 @@ class TestSolverCache:
         assert len(cache) == 0
         cache.solve("dp", solve_dp, _instance())
         assert cache.misses == 2
+        state = solve_delta(_instance(), resolution=100).state
+        cache.store_state(
+            cache.key_for("dp", _instance(), resolution=100), state
+        )
+        cache.clear()
+        assert cache.probe_delta(_instance(), resolution=100) is None
+        assert cache.near_hits == 0
+        # the emptied index takes new states again
+        cache.store_state(
+            cache.key_for("dp", _instance(), resolution=100), state
+        )
+        assert cache.probe_delta(_instance(), resolution=100) is state
 
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError):
