@@ -19,7 +19,6 @@ from .odm import (
     build_mckp,
     one_node_topology,
 )
-from .qpa import qpa_test
 from .schedulability import (
     OffloadAssignment,
     SchedulabilityResult,
@@ -44,7 +43,6 @@ __all__ = [
     "demand_checkpoints",
     "processor_demand_test",
     "ProcessorDemandResult",
-    "qpa_test",
     "OffloadAssignment",
     "SchedulabilityResult",
     "theorem3_test",

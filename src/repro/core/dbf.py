@@ -10,7 +10,7 @@ bounds of the demand bound function (dbf).  This module provides:
 * a **step-function dbf for split offloaded tasks** that is tighter than
   the Theorem 1 line, obtained by analyzing the setup and compensation
   sub-job streams separately — used by the A3 pessimism ablation;
-* a **processor-demand feasibility test** (QPA-style checkpoint
+* a **processor-demand feasibility test** (forward checkpoint
   enumeration) that works with any collection of dbf curves.
 
 All dbfs follow the windowed definition of §5.1: ``dbf(τ, t)`` is the

@@ -11,7 +11,7 @@ response times ``r_{i,j}`` are derived.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -83,39 +83,6 @@ class EmpiricalResponseTimes:
         self._ensure_sorted()
         return bisect.bisect_right(self._samples, response_time) / len(
             self._samples
-        )
-
-    def percentile_confidence_interval(
-        self,
-        q: float,
-        confidence: float = 0.95,
-        num_resamples: int = 1000,
-        rng: Optional[np.random.Generator] = None,
-    ) -> Tuple[float, float]:
-        """Bootstrap confidence interval for the ``q``-th percentile.
-
-        A wide interval means the measurement campaign is too small to
-        pin the estimated worst-case response time — exactly the
-        situation where §6.2 shows wrong estimates cost benefit, so the
-        estimator should keep probing before committing to ``r_{i,j}``.
-        """
-        if not self._samples:
-            raise ValueError("no samples")
-        if not 0 < confidence < 1:
-            raise ValueError("confidence must be in (0, 1)")
-        if num_resamples <= 0:
-            raise ValueError("num_resamples must be positive")
-        rng = rng if rng is not None else np.random.default_rng(0)
-        data = np.asarray(self._samples)
-        estimates = np.percentile(
-            rng.choice(data, size=(num_resamples, len(data)), replace=True),
-            q,
-            axis=1,
-        )
-        alpha = (1.0 - confidence) / 2.0
-        return (
-            float(np.quantile(estimates, alpha)),
-            float(np.quantile(estimates, 1.0 - alpha)),
         )
 
     def candidate_response_times(

@@ -7,7 +7,7 @@ Three zero-dependency pieces, composable but independently usable:
 * :mod:`repro.observability.metrics` — counters/gauges/histograms with
   JSON/CSV export;
 * :mod:`repro.observability.profiling` — wall-clock probes around the
-  MCKP DP, QPA and the simulation loop.
+  MCKP DP and the simulation loop.
 
 The usual entry point is the bundle::
 

@@ -1,8 +1,7 @@
 """Profiling hooks for the reproduction's hot paths.
 
-The three paths the ROADMAP targets for optimization — the MCKP dynamic
-program, the QPA feasibility test and the simulation loop — carry
-:func:`probe` call sites.  When no profiler is active (the default) a
+The hot paths — the MCKP dynamic program (scratch and delta) and the
+simulation loop — carry probe call sites.  When no profiler is active (the default) a
 probe is a shared reusable no-op context manager: one module-global
 load, one ``is None`` branch, zero allocation.  When a
 :class:`Profiler` is installed (``set_profiler`` or the

@@ -74,7 +74,6 @@ class SubJob:
     on_complete: Optional[Callable[["SubJob", float], None]] = None
     seq: int = field(default_factory=lambda: next(_subjob_counter))
     completed: bool = False
-    priority_override: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.phase not in PHASES:
@@ -83,28 +82,16 @@ class SubJob:
             raise ValueError("negative execution time")
 
     @property
-    def priority_key(self) -> float:
-        """The raw dispatch priority: the absolute deadline under EDF,
-        the override under fixed-priority (smaller = higher priority)."""
-        if self.priority_override is not None:
-            return self.priority_override
-        return self.absolute_deadline
-
-    @property
     def edf_key(self) -> tuple:
         """Heap ordering: quantized priority, then FIFO sequence.
 
-        The primary key is :func:`~repro.sched.timecmp.quantize_time` of
-        :attr:`priority_key`, so deadlines that are analytically equal
+        The primary key is :func:`~repro.sim.timecmp.quantize_time` of
+        :attr:`absolute_deadline`, so deadlines that are analytically equal
         but differ by float dust (computed via different arithmetic
         paths) tie — and the tie is broken FIFO by ``seq``, matching the
         EDF convention of not preempting an equal-deadline running job.
-
-        When ``priority_override`` is set (fixed-priority scheduling) it
-        replaces the deadline as the primary key — smaller = higher
-        priority — so the same uniprocessor dispatches both policies.
         """
-        return (quantize_time(self.priority_key), self.seq)
+        return (quantize_time(self.absolute_deadline), self.seq)
 
     @property
     def task_id(self) -> str:

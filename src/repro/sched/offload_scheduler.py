@@ -462,7 +462,7 @@ class OffloadingScheduler:
         self.trace.record_finish(job.task.task_id, job.job_id, now)
         bus = self.bus
         if bus.enabled:
-            met = now <= job.absolute_deadline + 1e-9
+            met = rec.met_deadline
             bus.emit(
                 "job.finish",
                 now,

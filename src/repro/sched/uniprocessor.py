@@ -6,8 +6,7 @@ the earliest absolute deadline (§5.1: "the scheduling policy will
 strictly follow the original earliest-deadline-first scheduling").
 
 The processor is policy-free — deadlines are assigned by whoever creates
-the sub-jobs (the split-deadline scheduler, the naive baseline, a
-fixed-priority adapter, …).  It records every execution segment and
+the sub-jobs (the split-deadline scheduler, the naive baseline, …).  It records every execution segment and
 preemption into a :class:`~repro.sim.trace.Trace`.
 """
 
@@ -33,37 +32,17 @@ class Uniprocessor:
         The simulation engine driving time.
     trace:
         Destination for execution segments and preemption counts.
-    speed:
-        Processor speed factor; execution of ``x`` seconds of work takes
-        ``x / speed`` wall-clock simulation time.  Default 1.0 (the
-        paper's model has no speed scaling, but the ablations use it).
-    context_switch_overhead:
-        Fixed cost added to a sub-job's remaining work each time it is
-        (re)started on the processor — the classic preemption-overhead
-        model.  The paper (like most EDF analyses) assumes 0; a non-zero
-        value must be charged to the analysis too, see
-        :func:`repro.sched.overhead.inflate_for_overhead`.
+
+    A sub-job's ``remaining`` work is simulation time: the paper's model
+    has no speed scaling and charges no context-switch cost.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        trace: Optional[Trace] = None,
-        speed: float = 1.0,
-        context_switch_overhead: float = 0.0,
-    ) -> None:
-        if speed <= 0:
-            raise ValueError("speed must be positive")
-        if context_switch_overhead < 0:
-            raise ValueError("context_switch_overhead must be >= 0")
+    def __init__(self, sim: Simulator, trace: Optional[Trace] = None) -> None:
         self.sim = sim
         self.trace = trace if trace is not None else Trace()
         #: structured event sink, shared with the engine (no-op unless
         #: the run was built with observability enabled)
         self.bus = sim.bus
-        self.speed = speed
-        self.context_switch_overhead = context_switch_overhead
-        self.context_switches = 0
         self.ready = EDFReadyQueue()
         self._current: Optional[SubJob] = None
         self._segment_start: float = 0.0
@@ -90,7 +69,7 @@ class Uniprocessor:
             subjob.task_id,
             subjob.job.job_id,
             subjob.phase,
-            subjob.priority_key,
+            subjob.absolute_deadline,
             "submitted",
         )
         bus = self.bus
@@ -102,7 +81,7 @@ class Uniprocessor:
                 job=subjob.job.job_id,
                 phase=subjob.phase,
                 deadline=subjob.absolute_deadline,
-                priority_key=subjob.priority_key,
+                priority_key=subjob.absolute_deadline,
             )
         if subjob.remaining == 0:
             # Zero-length work completes instantly (e.g. C_{i,3} = 0).
@@ -138,12 +117,8 @@ class Uniprocessor:
                 job=subjob.job.job_id,
                 phase=subjob.phase,
             )
-        if self.context_switch_overhead > 0:
-            subjob.remaining += self.context_switch_overhead
-            self.context_switches += 1
-        duration = subjob.remaining / self.speed
         self._completion_event = self.sim.schedule(
-            duration,
+            subjob.remaining,
             self._on_completion,
             priority=PRIORITY_DISPATCH,
             payload=subjob,
@@ -154,7 +129,7 @@ class Uniprocessor:
         """Stop the running sub-job, bank its progress, requeue it."""
         assert self._current is not None
         now = self.sim.now
-        executed = (now - self._segment_start) * self.speed
+        executed = now - self._segment_start
         self._current.remaining = max(0.0, self._current.remaining - executed)
         self.trace.record_segment(
             self._current.task_id,
@@ -205,7 +180,7 @@ class Uniprocessor:
             subjob.task_id,
             subjob.job.job_id,
             subjob.phase,
-            subjob.priority_key,
+            subjob.absolute_deadline,
             "completed",
         )
         bus = self.bus

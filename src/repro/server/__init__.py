@@ -7,7 +7,6 @@ rationale.
 """
 
 from .background import BackgroundLoadGenerator
-from .bursty import GilbertElliottChannel
 from .gpu import GpuDevice, KernelWork
 from .network import NetworkChannel
 from .proxy import GpuServerProxy
@@ -24,7 +23,6 @@ __all__ = [
     "KernelWork",
     "GpuServerProxy",
     "BackgroundLoadGenerator",
-    "GilbertElliottChannel",
     "GpuServerTransport",
     "ResponseTimeCalibratedWork",
     "WorkModel",

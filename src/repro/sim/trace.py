@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .timecmp import time_le
+
 __all__ = [
     "ExecutionSegment",
     "JobRecord",
@@ -60,8 +62,9 @@ class JobRecord:
     def met_deadline(self) -> Optional[bool]:
         if self.finish is None:
             return None
-        # A tiny epsilon absorbs float accumulation over long horizons.
-        return self.finish <= self.absolute_deadline + 1e-9
+        # The one deadline-miss rule: TIME_EPS absorbs float
+        # accumulation over long horizons.
+        return time_le(self.finish, self.absolute_deadline)
 
 
 @dataclass
@@ -69,9 +72,9 @@ class SubJobEvent:
     """Sub-job lifecycle event recorded by the processor.
 
     ``kind`` is ``"submitted"`` or ``"completed"``.  ``priority_key`` is
-    the effective dispatch key (the absolute deadline under EDF, the
-    priority override under fixed-priority) — what the conformance
-    validator replays scheduling decisions against.
+    the sub-job's EDF dispatch key, its absolute deadline — what the
+    test suite's conformance validator replays scheduling decisions
+    against.
     """
 
     time: float
@@ -110,8 +113,8 @@ class Trace:
         #: assumption failure worth surfacing, not hiding.
         self.model_violations: int = 0
         #: Sub-job submission/completion events (see
-        #: :class:`SubJobEvent`), the input to the EDF conformance
-        #: validator in :mod:`repro.sched.validator`.
+        #: :class:`SubJobEvent`), the input to the test suite's EDF
+        #: conformance validator.
         self.subjob_events: List[SubJobEvent] = []
 
     # ------------------------------------------------------------------
@@ -149,7 +152,7 @@ class Trace:
         if record is None:
             raise KeyError(f"finish recorded for unknown job {task_id}#{job_id}")
         record.finish = finish
-        if finish > record.absolute_deadline + 1e-9:
+        if not record.met_deadline:
             self.misses.append(
                 DeadlineMiss(
                     task_id=task_id,

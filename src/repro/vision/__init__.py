@@ -1,9 +1,8 @@
 """Robot-vision case-study substrate (paper §6.1).
 
-Synthetic scene generation, image scaling, PSNR quality metrics, genuine
-numpy implementations of the four kernels (stereo, edge, object
-recognition, motion), and construction of the Table 1 task set — both
-from the published numbers and regenerated end to end.
+Synthetic scene generation, image scaling, PSNR quality metrics, and
+construction of the Table 1 task set — both from the published numbers
+and regenerated end to end.
 """
 
 from .images import (
@@ -12,22 +11,7 @@ from .images import (
     generate_scene,
     generate_stereo_pair,
 )
-from .kernels import (
-    block_matching_disparity,
-    match_template,
-    motion_mask,
-    sobel_edges,
-)
 from .psnr import PSNR_CAP, mse, psnr
-from .sift import (
-    Keypoint,
-    compute_descriptors,
-    detect_keypoints,
-    dog_pyramid,
-    gaussian_blur,
-    match_descriptors,
-    sift_match,
-)
 from .scaling import downscale, roundtrip, scaled_shape, upscale
 from .tasks import (
     DEFAULT_LEVEL_FACTORS,
@@ -46,17 +30,6 @@ __all__ = [
     "generate_stereo_pair",
     "generate_motion_sequence",
     "embed_template",
-    "sobel_edges",
-    "block_matching_disparity",
-    "motion_mask",
-    "match_template",
-    "Keypoint",
-    "gaussian_blur",
-    "dog_pyramid",
-    "detect_keypoints",
-    "compute_descriptors",
-    "match_descriptors",
-    "sift_match",
     "mse",
     "psnr",
     "PSNR_CAP",

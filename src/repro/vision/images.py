@@ -5,8 +5,7 @@ generate structured synthetic scenes (DESIGN.md §2).  Scenes combine a
 smooth illumination gradient, geometric objects (rectangles and disks)
 and band-limited texture noise — enough spatial structure that scaling
 genuinely destroys information (so PSNR-vs-level is a meaningful quality
-curve) and that the edge/stereo/motion/recognition kernels have real
-content to work on.
+curve).
 
 Images are ``float64`` arrays in ``[0, 1]``, shape ``(height, width)``.
 """

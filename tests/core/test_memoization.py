@@ -11,7 +11,7 @@ from repro.core.dbf import (
     clear_demand_cache,
     processor_demand_test,
 )
-from repro.core.qpa import clear_qpa_cache, qpa_test
+from tests.oracles.qpa import clear_qpa_cache, qpa_test
 
 STREAMS = [(0.2, 1.0, 0.8), (0.1, 2.0, 1.5), (0.3, 5.0, 4.0)]
 INFEASIBLE = [(0.9, 1.0, 0.9), (0.5, 1.0, 0.9)]

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dbf import demand_horizon, processor_demand_test
-from repro.core.qpa import qpa_test
+from tests.oracles.qpa import qpa_test
 
 
 class TestKnownCases:

@@ -82,38 +82,3 @@ def test_success_probability_is_valid_cdf(samples, r):
     assert 0.0 <= p <= 1.0
     assert est.success_probability(r + 1.0) >= p
 
-
-class TestBootstrapCI:
-    def test_interval_contains_point_estimate(self):
-        import numpy as np
-
-        rng = np.random.default_rng(3)
-        est = EmpiricalResponseTimes(rng.lognormal(0, 0.5, 200))
-        low, high = est.percentile_confidence_interval(
-            90, rng=np.random.default_rng(1)
-        )
-        point = est.percentile(90)
-        assert low <= point <= high
-
-    def test_more_samples_tighter_interval(self):
-        import numpy as np
-
-        rng = np.random.default_rng(4)
-        small = EmpiricalResponseTimes(rng.lognormal(0, 0.5, 30))
-        large = EmpiricalResponseTimes(rng.lognormal(0, 0.5, 3000))
-        lo_s, hi_s = small.percentile_confidence_interval(
-            90, rng=np.random.default_rng(2)
-        )
-        lo_l, hi_l = large.percentile_confidence_interval(
-            90, rng=np.random.default_rng(2)
-        )
-        assert (hi_l - lo_l) < (hi_s - lo_s)
-
-    def test_validation(self):
-        est = EmpiricalResponseTimes([0.1, 0.2])
-        with pytest.raises(ValueError):
-            est.percentile_confidence_interval(90, confidence=1.5)
-        with pytest.raises(ValueError):
-            est.percentile_confidence_interval(90, num_resamples=0)
-        with pytest.raises(ValueError):
-            EmpiricalResponseTimes().percentile_confidence_interval(90)

@@ -14,31 +14,29 @@ visiting every dbf step point below the busy-period bound, QPA iterates
     until t < d_min     (feasible)
 
 On task sets with many dbf points QPA touches only a small fraction of
-them — the A3-adjacent micro-benchmark quantifies the speedup against
-the forward scan.  Both tests must agree exactly; the test suite
-cross-validates them on random stream sets.
+them.  Both tests must agree exactly: this module is a test oracle, and
+the test suite cross-validates the two on random stream sets.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..observability.profiling import profile_calls
-from .dbf import (
+from repro.core.dbf import (
     ProcessorDemandResult,
     dbf_sporadic,
     demand_horizon,
     last_step,
 )
+from repro.observability.profiling import profile_calls
 
 __all__ = ["qpa_test", "clear_qpa_cache"]
 
 #: Memo of ``(streams, horizon) -> result`` mirroring the
-#: :func:`repro.core.dbf.processor_demand_test` cache: runtime loops ask
-#: the same feasibility question across unchanged task sets, and the
-#: result is a frozen dataclass safe to share.
+#: :func:`repro.core.dbf.processor_demand_test` cache; the result is a
+#: frozen dataclass safe to share.
 _QPA_CACHE: "OrderedDict[tuple, ProcessorDemandResult]" = OrderedDict()
 _QPA_CACHE_MAX = 4096
 

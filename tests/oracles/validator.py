@@ -3,12 +3,12 @@
 Given a trace with sub-job lifecycle events (recorded by
 :class:`~repro.sched.uniprocessor.Uniprocessor`), the validator replays
 every execution segment against the reconstructed pending set and
-reports violations of the two invariants a preemptive priority
-scheduler must satisfy:
+reports violations of the two invariants a preemptive EDF scheduler
+must satisfy:
 
 * **priority conformance** — the executing sub-job always has the
-  minimal dispatch key (absolute deadline under EDF; the override under
-  fixed priorities) among all pending sub-jobs, modulo the FIFO
+  minimal dispatch key (its absolute deadline) among all pending
+  sub-jobs, modulo the FIFO
   non-preemption convention for equal keys and for a lower-priority
   sub-job that was already running when an equal-key competitor
   arrived;
@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..sim.trace import Trace
+from repro.sim.timecmp import TIME_EPS
+from repro.sim.trace import Trace
 
 __all__ = ["Violation", "validate_schedule"]
-
-_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,10 @@ def validate_schedule(trace: Trace) -> List[Violation]:
         for key, (submit, priority) in submissions.items():
             if key == exclude:
                 continue
-            if submit > t + _EPS:
+            if submit > t + TIME_EPS:
                 continue
             done = completions.get(key)
-            if done is not None and done <= t + _EPS:
+            if done is not None and done <= t + TIME_EPS:
                 continue
             out.append((key, submit, priority))
         return out
@@ -97,7 +96,7 @@ def validate_schedule(trace: Trace) -> List[Violation]:
         for other_key, other_submit, other_priority in pending_at(
             seg.start, exclude=key
         ):
-            if other_priority < running_priority - _EPS:
+            if other_priority < running_priority - TIME_EPS:
                 # a strictly higher-priority sub-job was pending; legal
                 # only if it arrived exactly at the segment end boundary
                 violations.append(
@@ -122,7 +121,7 @@ def validate_schedule(trace: Trace) -> List[Violation]:
 
     def is_busy(t: float) -> bool:
         for lo, hi in busy:
-            if lo - _EPS <= t < hi - _EPS:
+            if lo - TIME_EPS <= t < hi - TIME_EPS:
                 return True
             if lo > t:
                 break
@@ -136,7 +135,7 @@ def validate_schedule(trace: Trace) -> List[Violation]:
         # exclude sub-jobs that complete without execution (zero-length)
         truly_pending = [
             key for key, _, _ in pending if completions.get(key, None)
-            is None or completions[key] > mid + _EPS
+            is None or completions[key] > mid + TIME_EPS
         ]
         if truly_pending:
             violations.append(

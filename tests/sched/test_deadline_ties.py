@@ -10,11 +10,14 @@ order, unlike pairwise epsilon comparison) and breaks ties FIFO.
 """
 
 import heapq
+import math
 
 import pytest
 
-from repro.core.task import Task
+from repro.core.task import Task, TaskSet
+from repro.observability.tracebus import TraceBus
 from repro.sched.jobs import Job, SubJob
+from repro.sched.offload_scheduler import OffloadingScheduler
 from repro.sched.ready_queue import EDFReadyQueue
 from repro.sched.uniprocessor import Uniprocessor
 from repro.sim.engine import Simulator
@@ -146,3 +149,46 @@ class TestEngineClockMonotone:
         sim.schedule_at(CLEAN, lambda ev: order.append("second"))
         sim.run_until(1.0)
         assert order == ["first", "second"]
+
+
+class _FixedDuration:
+    """Execution-time model: every sub-job runs exactly ``duration``."""
+
+    def __init__(self, duration):
+        self.duration_s = duration
+
+    def duration(self, task, phase, response_time, job_id):
+        return self.duration_s
+
+
+class TestDeadlineMissRule:
+    """One rule decides a miss: ``time_le(finish, deadline)``.  The
+    trace's miss list, the job record and the ``job.finish`` bus event
+    must apply it identically at the epsilon boundary."""
+
+    @staticmethod
+    def _finish_at(finish):
+        bus = TraceBus()
+        sim = Simulator(bus=bus)
+        tasks = TaskSet([Task("t", wcet=0.5, period=2.0, deadline=1.0)])
+        trace = OffloadingScheduler(
+            sim, tasks, exec_model=_FixedDuration(finish)
+        ).run(1.5)
+        (event,) = bus.events("job.finish")
+        record = trace.job("t", 0)
+        assert record.finish == finish
+        return trace, record, event.data["met_deadline"]
+
+    def test_finish_at_deadline_plus_eps_is_met(self):
+        trace, record, bus_met = self._finish_at(1.0 + TIME_EPS)
+        assert record.met_deadline is True
+        assert bus_met is True
+        assert trace.misses == []
+
+    def test_next_float_above_is_a_miss(self):
+        trace, record, bus_met = self._finish_at(
+            math.nextafter(1.0 + TIME_EPS, math.inf)
+        )
+        assert record.met_deadline is False
+        assert bus_met is False
+        assert [m.job_id for m in trace.misses] == [0]

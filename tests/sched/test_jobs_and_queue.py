@@ -7,7 +7,7 @@ from repro.sched.jobs import Job, SubJob
 from repro.sched.ready_queue import EDFReadyQueue
 
 
-def _subjob(deadline, phase="local", remaining=0.1, priority=None):
+def _subjob(deadline, phase="local", remaining=0.1):
     task = Task("t", wcet=0.5, period=10.0)
     job = Job(task=task, job_id=0, release=0.0, absolute_deadline=deadline)
     return SubJob(
@@ -17,7 +17,6 @@ def _subjob(deadline, phase="local", remaining=0.1, priority=None):
         remaining=remaining,
         absolute_deadline=deadline,
         release=0.0,
-        priority_override=priority,
     )
 
 
@@ -37,13 +36,6 @@ class TestSubJob:
     def test_edf_key_fifo_on_equal_deadline(self):
         first, second = _subjob(1.0), _subjob(1.0)
         assert first.edf_key < second.edf_key
-
-    def test_priority_override_takes_precedence(self):
-        """Fixed-priority mode: a later deadline with higher priority
-        (smaller override) wins."""
-        fp_high = _subjob(9.0, priority=0.0)
-        fp_low = _subjob(1.0, priority=5.0)
-        assert fp_high.edf_key < fp_low.edf_key
 
     def test_task_id_passthrough(self):
         assert _subjob(1.0).task_id == "t"

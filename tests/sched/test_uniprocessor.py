@@ -53,17 +53,6 @@ class TestBasicExecution:
         # "late" started first (was alone), got preempted by "early"
         assert order == ["early", "late"]
 
-    def test_speed_scales_duration(self, sim):
-        done = []
-        cpu = Uniprocessor(sim, speed=2.0)
-        cpu.submit(_subjob(10.0, 1.0, on_complete=lambda sj, t: done.append(t)))
-        sim.run_until(1.0)
-        assert done == [pytest.approx(0.5)]
-
-    def test_invalid_speed_rejected(self, sim):
-        with pytest.raises(ValueError):
-            Uniprocessor(sim, speed=0.0)
-
 
 class TestPreemption:
     def test_earlier_deadline_preempts(self, sim):

@@ -5,13 +5,12 @@ import pytest
 
 from repro.core.task import Task, TaskSet
 from repro.runtime.system import OffloadingSystem
-from repro.sched.fixed_priority import FixedPriorityScheduler
 from repro.sched.offload_scheduler import OffloadingScheduler
 from repro.sched.transport import NeverRespondsTransport
-from repro.sched.validator import validate_schedule
 from repro.sim.engine import Simulator
 from repro.sim.trace import Trace
 from repro.vision.tasks import table1_task_set
+from tests.oracles.validator import validate_schedule
 
 
 class TestRealSchedulesConform:
@@ -39,15 +38,6 @@ class TestRealSchedulesConform:
             sim, tasks, response_times=decision.response_times,
             transport=NeverRespondsTransport(),
         ).run(10.0)
-        assert validate_schedule(trace) == []
-
-    def test_fixed_priority_schedule_validates(self):
-        tasks = TaskSet(
-            [Task("t1", 1.0, 4.0), Task("t2", 2.0, 8.0),
-             Task("t3", 3.0, 16.0)]
-        )
-        sim = Simulator()
-        trace = FixedPriorityScheduler(sim, tasks).run(32.0)
         assert validate_schedule(trace) == []
 
 

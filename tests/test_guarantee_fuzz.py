@@ -75,7 +75,7 @@ def test_chaotic_server_never_breaks_deadlines(seed):
     )
     assert len(trace.jobs) > 10  # the run actually exercised releases
     # the schedule must also be a *correct* EDF schedule, not just lucky
-    from repro.sched.validator import validate_schedule
+    from tests.oracles.validator import validate_schedule
 
     assert validate_schedule(trace) == []
 
