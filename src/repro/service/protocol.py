@@ -27,15 +27,23 @@ Frame layout (struct-packed, big-endian)::
 
 The payload of every frame is one JSON-able ``{"op": ...}`` record;
 the golden tests in ``tests/service/test_protocol.py`` pin the bytes.
+:class:`AdmitEncoder` builds the client's ``admit`` and ``admit_batch``
+frames from per-task JSON fragments, so a task that recurs across
+admissions is encoded once; its frames equal :func:`encode_frame`'s.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Dict, Optional, Tuple
+from collections import OrderedDict
+from typing import Dict, Optional, Sequence, Tuple
+
+from ..core.task import Task
+from .request import AdmissionRequest, task_to_dict
 
 __all__ = [
+    "AdmitEncoder",
     "FrameError",
     "HEADER",
     "FLAG_MSGPACK",
@@ -53,6 +61,10 @@ FLAG_MSGPACK = 0x01
 
 #: magic(2s) + version(B) + flags(B) + payload length(I), big-endian.
 HEADER = struct.Struct(">2sBBI")
+
+#: The payload codec: compact JSON, ASCII-escaped (``json.dumps`` with
+#: compact separators, without building an encoder per call).
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class FrameError(ValueError):
@@ -78,8 +90,74 @@ def decode_payload(flags: int, payload: bytes) -> Dict[str, object]:
 
 def encode_frame(record: Dict[str, object]) -> bytes:
     """One complete v2 frame for ``record`` (compact-JSON payload)."""
-    payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
-    return HEADER.pack(MAGIC, WIRE_VERSION, 0, len(payload)) + payload
+    return _frame(_compact_json(record))
+
+
+def _frame(payload: str) -> bytes:
+    data = payload.encode("utf-8")
+    return HEADER.pack(MAGIC, WIRE_VERSION, 0, len(data)) + data
+
+
+class AdmitEncoder:
+    """``admit`` / ``admit_batch`` frames, each distinct task encoded once.
+
+    ``admit(request)`` equals ``encode_frame({"op": "admit", "request":
+    request.to_dict()})`` byte for byte, and ``admit_batch`` likewise.
+    The compact JSON of every task is kept in a bounded LRU keyed by
+    the task's identity.  Tasks are frozen (their benefit functions
+    hold tuples of frozen points), so a fragment stays valid while its
+    task lives, and each entry holds its task so the ``id`` cannot be
+    reused while cached.  A :class:`~repro.core.task.TaskSet` is
+    mutable, so nothing is keyed on the set: the task list is re-read
+    on every call.
+    """
+
+    #: tasks whose fragments stay resident, least recently used out
+    capacity = 1024
+
+    def __init__(self) -> None:
+        self._fragments: "OrderedDict[int, Tuple[Task, str]]" = (
+            OrderedDict()
+        )
+
+    def __len__(self) -> int:
+        return len(self._fragments)
+
+    def admit(self, request: AdmissionRequest) -> bytes:
+        return _frame(
+            '{"op":"admit","request":' + self._request(request) + "}"
+        )
+
+    def admit_batch(self, requests: Sequence[AdmissionRequest]) -> bytes:
+        return _frame(
+            '{"op":"admit_batch","requests":['
+            + ",".join(map(self._request, requests))
+            + "]}"
+        )
+
+    def _request(self, request: AdmissionRequest) -> str:
+        # AdmissionRequest.to_dict's keys, in its order
+        return (
+            '{"request_id":'
+            + _compact_json(request.request_id)
+            + ',"tasks":['
+            + ",".join(map(self._task, request.tasks))
+            + '],"server_estimates":'
+            + _compact_json(dict(request.server_estimates))
+            + "}"
+        )
+
+    def _task(self, task: Task) -> str:
+        fragments = self._fragments
+        held = fragments.get(id(task))
+        if held is not None:
+            fragments.move_to_end(id(task))
+            return held[1]
+        fragment = _compact_json(task_to_dict(task))
+        fragments[id(task)] = (task, fragment)
+        if len(fragments) > self.capacity:
+            fragments.popitem(last=False)
+        return fragment
 
 
 def decode_header(header: bytes) -> Tuple[int, int, int]:

@@ -16,8 +16,10 @@ into an online admission service:
   against Theorem 3 before the future resolves.  The service never
   hands out a deadline guarantee it has not just checked.
 
-The solver layer runs in a worker thread (``asyncio.to_thread``), so
-the event loop keeps accepting and shedding while a batch solves.
+A batch's leading exact cache hits are answered on the event loop,
+by lookup alone.  From its first miss on, the batch crosses to a worker
+thread (``asyncio.to_thread``), so the event loop keeps accepting and
+shedding while a batch solves; a batch with no miss never hops.
 
 :func:`serve_tcp` exposes the service on a TCP socket — the transport
 behind ``repro serve`` / ``repro loadgen`` — speaking the
@@ -49,6 +51,7 @@ from .degradation import DegradationLevel, DegradationPolicy
 from .memo import MemoEntry, RequestMemo
 from .protocol import (
     HEADER,
+    AdmitEncoder,
     FrameError,
     decode_header,
     decode_payload,
@@ -169,6 +172,8 @@ class ODMService:
         self._m_shed = reg.counter("service.shed")
         self._m_batches = reg.counter("service.batches")
         self._m_degraded = reg.counter("service.degraded_batches")
+        self._m_loop_answers = reg.counter("service.loop_answers")
+        self._m_hopped = reg.counter("service.hopped_batches")
         self._m_queue = reg.gauge("service.queue_depth")
         self._m_level = reg.gauge("service.degradation_level")
         self._m_batch_size = reg.histogram("service.batch_size")
@@ -556,13 +561,16 @@ class ODMService:
                     memo.allowed, memo.instance = allowed_key, instance
             plans.append((solver_name, instance, kwargs))
 
+        # exact hits cost a lookup each, less than the hop: only the
+        # entries from the first miss on cross to the worker thread
         entries = [plan for plan in plans if plan is not None]
-        if entries:
-            selections = await asyncio.to_thread(
-                self.shard_solver.solve_batch, entries
+        selections = self.shard_solver.answer_hits(entries)
+        self._m_loop_answers.inc(len(selections))
+        if len(selections) < len(entries):
+            self._m_hopped.inc()
+            selections += await asyncio.to_thread(
+                self.shard_solver.solve_batch, entries[len(selections):]
             )
-        else:
-            selections = []
 
         cursor = 0
         for pending, plan, allowed in zip(batch, plans, alloweds):
@@ -748,6 +756,8 @@ class ODMService:
             "shed": reg.value("service.shed"),
             "batches": reg.value("service.batches"),
             "degraded_batches": reg.value("service.degraded_batches"),
+            "loop_answers": reg.value("service.loop_answers"),
+            "hopped_batches": reg.value("service.hopped_batches"),
             "queue_depth": (
                 self._batcher.depth if self._batcher is not None else 0
             ),
@@ -1095,6 +1105,7 @@ class ServiceClient:
         self._plain: List["asyncio.Future[Dict[str, object]]"] = []
         self._reader_task: Optional[asyncio.Task] = None
         self._lost: Optional[ConnectionLost] = None
+        self._admit_frames = AdmitEncoder()
 
     @property
     def connected(self) -> bool:
@@ -1207,12 +1218,12 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
-    async def _send(self, payload: Dict[str, object]) -> None:
+    async def _send(self, data: bytes) -> None:
+        """Write one encoded frame."""
         if self._lost is not None:
             raise self._lost
         if self._writer is None:
             raise ConnectionLost("client is not connected")
-        data = encode_frame(payload)
         try:
             async with self._lock:
                 self._writer.write(data)
@@ -1242,13 +1253,14 @@ class ServiceClient:
 
     async def _call(
         self,
-        payload: Dict[str, object],
+        data: bytes,
         timeout: Optional[float] = None,
     ) -> Dict[str, object]:
+        """Send one encoded frame and await its in-order reply."""
         future = asyncio.get_running_loop().create_future()
         self._plain.append(future)
         try:
-            await self._send(payload)
+            await self._send(data)
         except ConnectionLost:
             if future in self._plain:
                 self._plain.remove(future)
@@ -1266,9 +1278,7 @@ class ServiceClient:
         future = asyncio.get_running_loop().create_future()
         self._pending[request.request_id] = future
         try:
-            await self._send(
-                {"op": "admit", "request": request.to_dict()}
-            )
+            await self._send(self._admit_frames.admit(request))
             record = await self._await(future, timeout)
         finally:
             if self._pending.get(request.request_id) is future:
@@ -1290,11 +1300,7 @@ class ServiceClient:
         if not requests:
             return []
         record = await self._call(
-            {
-                "op": "admit_batch",
-                "requests": [r.to_dict() for r in requests],
-            },
-            timeout=timeout,
+            self._admit_frames.admit_batch(requests), timeout=timeout
         )
         if record.get("op") != "batch_response":
             raise ConnectionLost(
@@ -1320,14 +1326,18 @@ class ServiceClient:
         timeout: Optional[float] = None,
     ) -> None:
         await self._call(
-            {"op": "outcome", "server": server, "ok": ok, "time": time},
+            encode_frame(
+                {"op": "outcome", "server": server, "ok": ok, "time": time}
+            ),
             timeout=timeout,
         )
 
     async def close_window(
         self, timeout: Optional[float] = None
     ) -> Dict[str, str]:
-        record = await self._call({"op": "window"}, timeout=timeout)
+        record = await self._call(
+            encode_frame({"op": "window"}), timeout=timeout
+        )
         return dict(record.get("breakers") or {})
 
     async def gossip(
@@ -1343,7 +1353,7 @@ class ServiceClient:
         payload: Dict[str, object] = {"op": "gossip"}
         if beacon is not None:
             payload["beacon"] = beacon
-        record = await self._call(payload, timeout=timeout)
+        record = await self._call(encode_frame(payload), timeout=timeout)
         if not isinstance(record.get("beacon"), Mapping):
             raise ValueError(
                 f"gossip reply carries no beacon: {record.get('error', '')}"
@@ -1377,7 +1387,7 @@ class ServiceClient:
             payload["states"] = int(states)
         if max_bytes is not None:
             payload["max_bytes"] = int(max_bytes)
-        record = await self._call(payload, timeout=timeout)
+        record = await self._call(encode_frame(payload), timeout=timeout)
         if record.get("op") != "cache_sync":
             raise ConnectionLost(
                 f"expected cache_sync reply, got {record.get('op')!r}: "
@@ -1388,8 +1398,10 @@ class ServiceClient:
     async def stats(
         self, timeout: Optional[float] = None
     ) -> Dict[str, object]:
-        record = await self._call({"op": "stats"}, timeout=timeout)
+        record = await self._call(
+            encode_frame({"op": "stats"}), timeout=timeout
+        )
         return {k: v for k, v in record.items() if k != "op"}
 
     async def shutdown(self, timeout: Optional[float] = None) -> None:
-        await self._call({"op": "shutdown"}, timeout=timeout)
+        await self._call(encode_frame({"op": "shutdown"}), timeout=timeout)

@@ -21,6 +21,10 @@ The remaining unique misses are solved in-process, one scratch solve
 each in first-seen order.  Scratch ``dp`` solves run through
 ``solve_delta`` so their resumable states seed the near-miss table.
 
+:meth:`ShardSolver.answer_hits` is the cheap half the service runs on
+its event loop: the batch's leading exact hits, answered by lookup
+alone.  Only the rest of the batch goes to :meth:`solve_batch`.
+
 Determinism: solvers are pure functions of ``(instance, kwargs)``, so a
 batched + cached answer is **bit-identical** to calling the same solver
 serially on the same instance — delta warm starts included, since
@@ -64,6 +68,32 @@ class ShardSolver:
         self.delta_solves = 0
         #: sparse DP layers skipped thanks to warm starts
         self.delta_layers_reused = 0
+
+    def answer_hits(
+        self,
+        entries: Sequence[Tuple[str, MCKPInstance, Dict[str, object]]],
+    ) -> List[Optional[Selection]]:
+        """Answer the leading run of exact cache hits in ``entries``.
+
+        Stops at the first entry that is not an exact hit or names an
+        unknown solver; returns one result per answered entry.  Every
+        answered entry is a hit, so ``solve_batch(entries[k:])`` for the
+        rest makes the same cache calls, in the same order, as
+        ``solve_batch(entries)`` would have: no dedup state carries over.
+        """
+        cache = self.cache
+        answered: List[Optional[Selection]] = []
+        for solver_name, instance, kwargs in entries:
+            if solver_name not in SOLVERS:
+                break
+            key = SolverCache.key_for(solver_name, instance, **kwargs)
+            if not cache.contains(key):
+                break
+            _, choices = cache.lookup(key)
+            answered.append(
+                None if choices is None else Selection(instance, dict(choices))
+            )
+        return answered
 
     def solve_batch(
         self,

@@ -5,12 +5,7 @@ construction of the Table 1 task set — both from the published numbers
 and regenerated end to end.
 """
 
-from .images import (
-    embed_template,
-    generate_motion_sequence,
-    generate_scene,
-    generate_stereo_pair,
-)
+from .images import generate_scene
 from .psnr import PSNR_CAP, mse, psnr
 from .scaling import downscale, roundtrip, scaled_shape, upscale
 from .tasks import (
@@ -27,9 +22,6 @@ from .tasks import (
 
 __all__ = [
     "generate_scene",
-    "generate_stereo_pair",
-    "generate_motion_sequence",
-    "embed_template",
     "mse",
     "psnr",
     "PSNR_CAP",

@@ -12,17 +12,11 @@ Images are ``float64`` arrays in ``[0, 1]``, shape ``(height, width)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "generate_scene",
-    "generate_stereo_pair",
-    "generate_motion_sequence",
-    "embed_template",
-]
+__all__ = ["generate_scene"]
 
 
 def _smooth_noise(
@@ -77,74 +71,3 @@ def generate_scene(
             scene[mask] = brightness
 
     return np.clip(scene, 0.0, 1.0)
-
-
-def generate_stereo_pair(
-    height: int = 200,
-    width: int = 300,
-    max_disparity: int = 12,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A rectified stereo pair with a known disparity map.
-
-    The scene is split into depth bands; each band of the right image is
-    the left image shifted horizontally by the band's disparity.  Returns
-    ``(left, right, true_disparity)``.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    left = generate_scene(height, width, rng=rng)
-
-    # three horizontal depth bands with decreasing disparity
-    disparity = np.zeros((height, width), dtype=float)
-    band_edges = [0, height // 3, 2 * height // 3, height]
-    band_disp = [max_disparity, max_disparity // 2, max(1, max_disparity // 4)]
-    for (y0, y1), d in zip(zip(band_edges, band_edges[1:]), band_disp):
-        disparity[y0:y1, :] = d
-
-    right = np.empty_like(left)
-    for band, d in zip(zip(band_edges, band_edges[1:]), band_disp):
-        y0, y1 = band
-        right[y0:y1] = np.roll(left[y0:y1], -d, axis=1)
-    return left, right, disparity
-
-
-def generate_motion_sequence(
-    num_frames: int = 4,
-    height: int = 200,
-    width: int = 300,
-    object_size: int = 20,
-    velocity: Tuple[int, int] = (3, 5),
-    rng: Optional[np.random.Generator] = None,
-) -> List[np.ndarray]:
-    """Frames of a static scene with one moving bright square."""
-    if num_frames < 2:
-        raise ValueError("need at least two frames")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    background = generate_scene(height, width, rng=rng)
-    frames = []
-    cy, cx = height // 4, width // 4
-    vy, vx = velocity
-    for _ in range(num_frames):
-        frame = background.copy()
-        y0 = int(np.clip(cy, 0, height - object_size))
-        x0 = int(np.clip(cx, 0, width - object_size))
-        frame[y0 : y0 + object_size, x0 : x0 + object_size] = 0.95
-        frames.append(frame)
-        cy += vy
-        cx += vx
-    return frames
-
-
-def embed_template(
-    scene: np.ndarray,
-    template: np.ndarray,
-    position: Tuple[int, int],
-) -> np.ndarray:
-    """Paste ``template`` into ``scene`` at ``(row, col)``; returns a copy."""
-    out = scene.copy()
-    r, c = position
-    th, tw = template.shape
-    if r < 0 or c < 0 or r + th > scene.shape[0] or c + tw > scene.shape[1]:
-        raise ValueError("template does not fit at the given position")
-    out[r : r + th, c : c + tw] = template
-    return out

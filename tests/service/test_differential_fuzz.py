@@ -339,6 +339,95 @@ def test_churned_stream_leaves_pinned_cache_counters(corpus):
     assert digest == PINNED_ORDER
 
 
+def cache_trail(solver):
+    """Everything a batch leaves in the cache: counters, entries with
+    their choices and hit counts in LRU order, delta-state order, and
+    the delta counters."""
+    cache = solver.cache
+    return (
+        cache.stats,
+        [
+            (key, entry.choices, entry.hits)
+            for key, entry in cache._entries.items()
+        ],
+        [key for key, _ in cache.hot_states(cache.delta_maxstates)],
+        solver.delta_solves,
+        solver.delta_layers_reused,
+    )
+
+
+def solve_or_error(solve, batch):
+    try:
+        return solve(batch)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_loop_hit_prefix_then_suffix_equals_one_solve_batch(corpus):
+    """The service answers a batch's leading exact hits on the loop
+    (``answer_hits``) and sends only the rest to ``solve_batch``.  Over
+    a churned stream that mixes exact hits, misses, in-batch
+    duplicates, near hits, ``heu_oe`` entries, cached infeasible
+    verdicts and an unknown solver, that split must return the same
+    selections and leave the cache exactly as one ``solve_batch`` of
+    the whole batch does, batch after batch."""
+    rng = random.Random(28)
+    whole = ShardSolver(SolverCache(maxsize=48, delta_maxstates=8))
+    split = ShardSolver(SolverCache(maxsize=48, delta_maxstates=8))
+    infeasible = MCKPInstance(
+        classes=(MCKPClass("c0", (MCKPItem(value=1.0, weight=30.0),)),),
+        capacity=20.0,
+    )
+    assert solve_dp(infeasible, resolution=RESOLUTION) is None
+
+    def split_solve(batch):
+        head = split.answer_hits(batch)
+        prefixes.append((len(head), len(batch)))
+        verdicts.extend(
+            choice is None for (_, instance, _), choice in zip(batch, head)
+            if instance is infeasible
+        )
+        return head + split.solve_batch(batch[len(head):])
+
+    prefixes = []
+    verdicts = []  # loop-side answers for the infeasible instance
+    recent = []
+    errors = 0
+    for number, churned in enumerate(churned_batches(corpus, seed=28)):
+        # lead with recent entries, so hit prefixes of every length occur
+        batch = rng.sample(recent, min(len(recent), rng.randint(0, 4)))
+        batch += churned
+        if number % 4 == 0:
+            where = rng.randint(0, len(batch))
+            batch.insert(
+                where, ("dp", infeasible, {"resolution": RESOLUTION})
+            )
+        if number % 13 == 12:
+            batch.insert(rng.randint(0, len(batch)), ("nope", corpus[0], {}))
+        expected = solve_or_error(whole.solve_batch, batch)
+        got = solve_or_error(split_solve, batch)
+        if isinstance(expected, str):
+            errors += 1
+            assert got == expected
+        else:
+            assert len(got) == len(expected) == len(batch)
+            for (_, instance, _), a, b in zip(batch, expected, got):
+                if a is None:
+                    assert b is None
+                else:
+                    assert b is not None and b.choices == a.choices
+                    assert b.instance is instance
+        assert cache_trail(split) == cache_trail(whole)
+        recent = (recent + [e for e in batch if e[0] != "nope"])[-24:]
+    answered = [k for k, _ in prefixes]
+    assert errors >= 2
+    assert whole.cache.near_hits > 0 and whole.delta_solves > 0
+    assert any(k == n for k, n in prefixes)  # never hopped
+    assert any(0 < k < n for k, n in prefixes)  # hopped with a suffix
+    assert answered.count(0) > 0 and sum(answered) > 50
+    assert verdicts and all(verdicts)  # cached None verdicts answered
+
+
 def test_energy_odm_matches_brute_force_enumerator():
     """Differential pin for the energy-aware ODM path.
 

@@ -9,14 +9,18 @@ the constants.
 """
 
 import asyncio
+import dataclasses
 import gc
 import json
+import math
 import socket
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.core.task import Task, TaskSet
+from repro.core.benefit import BenefitFunction, BenefitPoint
+from repro.core.task import OffloadableTask, Task, TaskSet
 from repro.observability import Observability
 from repro.service import (
     FLAG_MSGPACK,
@@ -34,7 +38,11 @@ from repro.service import (
     encode_frame,
     serve_tcp,
 )
-from repro.service.protocol import decode_header, decode_payload
+from repro.service.protocol import (
+    AdmitEncoder,
+    decode_header,
+    decode_payload,
+)
 from repro.workloads.generator import random_offloading_task_set
 
 #: Committed frames for ``{"op": "stats"}`` and ``{"op": "shutdown"}``.
@@ -43,6 +51,29 @@ GOLDEN_V2_STATS = bytes.fromhex(
 )
 GOLDEN_V2_SHUTDOWN = bytes.fromhex(
     "4f440200000000117b226f70223a2273687574646f776e227d"
+)
+#: Committed ``admit`` frame of :func:`golden_admit_request` (a
+#: non-ASCII task id, a negative zero, a plain task, two servers).
+GOLDEN_V2_ADMIT = bytes.fromhex(
+    "4f440200000002567b226f70223a2261646d6974222c2272657175657374223a"
+    "7b22726571756573745f6964223a22672d31222c227461736b73223a5b7b2274"
+    "61736b5f6964223a225c753033633431222c2277636574223a322e302c227065"
+    "72696f64223a31302e302c22646561646c696e65223a382e302c227765696768"
+    "74223a312e352c226f66666c6f616461626c65223a747275652c227365747570"
+    "5f74696d65223a302e352c22636f6d70656e736174696f6e5f74696d65223a31"
+    "2e32352c22706f73745f74696d65223a302e32352c227365727665725f726573"
+    "706f6e73655f626f756e64223a6e756c6c2c2262656e65666974223a5b7b2272"
+    "6573706f6e73655f74696d65223a302e302c2262656e65666974223a312e302c"
+    "2273657475705f74696d65223a6e756c6c2c22636f6d70656e736174696f6e5f"
+    "74696d65223a6e756c6c2c226c6162656c223a226c6f63616c222c22656e6572"
+    "6779223a6e756c6c7d2c7b22726573706f6e73655f74696d65223a332e302c22"
+    "62656e65666974223a342e352c2273657475705f74696d65223a302e37352c22"
+    "636f6d70656e736174696f6e5f74696d65223a6e756c6c2c226c6162656c223a"
+    "22222c22656e65726779223a2d302e307d5d7d2c7b227461736b5f6964223a22"
+    "7432222c2277636574223a312e302c22706572696f64223a32302e302c226465"
+    "61646c696e65223a32302e302c22776569676874223a312e302c226f66666c6f"
+    "616461626c65223a66616c73657d5d2c227365727665725f657374696d617465"
+    "73223a7b2265646765223a312e302c22636c6f7564223a312e32357d7d7d"
 )
 #: What a newline-JSON client would send: not a frame, so not served.
 NEWLINE_JSON_STATS = b'{"op":"stats"}\n'
@@ -62,6 +93,25 @@ def make_request(request_id="r1", seed=1):
         request_id=request_id,
         tasks=tasks,
         server_estimates={"edge": 1.0},
+    )
+
+
+def golden_admit_request():
+    return AdmissionRequest(
+        request_id="g-1",
+        tasks=TaskSet([
+            OffloadableTask(
+                task_id="\u03c41", wcet=2.0, period=10.0, deadline=8.0,
+                weight=1.5, setup_time=0.5, compensation_time=1.25,
+                post_time=0.25,
+                benefit=BenefitFunction([
+                    BenefitPoint(0.0, 1.0, label="local"),
+                    BenefitPoint(3.0, 4.5, setup_time=0.75, energy=-0.0),
+                ]),
+            ),
+            Task(task_id="t2", wcet=1.0, period=20.0),
+        ]),
+        server_estimates={"edge": 1.0, "cloud": 1.25},
     )
 
 
@@ -561,3 +611,149 @@ def test_a_long_lived_connection_retains_no_finished_admissions():
         return retained
 
     assert asyncio.run(scenario()) == 0
+
+
+# ----------------------------------------------------------------------
+# wire v2: encode-once admit frames
+# ----------------------------------------------------------------------
+def reference_admit(request):
+    return encode_frame({"op": "admit", "request": request.to_dict()})
+
+
+def reference_admit_batch(requests):
+    return encode_frame(
+        {"op": "admit_batch", "requests": [r.to_dict() for r in requests]}
+    )
+
+
+def captured_frame(call):
+    """The frame bytes ``call(client)`` writes, captured unsent."""
+    client = ServiceClient()
+    frames = []
+
+    async def capture(data):
+        frames.append(data)
+        raise ConnectionLost("captured")
+
+    client._send = capture
+    with pytest.raises(ConnectionLost):
+        asyncio.run(call(client))
+    return frames[0]
+
+
+def varied_requests(rng):
+    """Seeded admissions over a shared task pool, each varied one way:
+    non-ASCII ids, negative zeros, one-ulp changes, fresh estimates."""
+    pool = [
+        list(
+            random_offloading_task_set(
+                rng, num_tasks=int(rng.integers(1, 6)),
+                total_utilization=0.5,
+            )
+        )
+        for _ in range(6)
+    ]
+    requests = []
+    for number in range(120):
+        tasks = list(pool[int(rng.integers(len(pool)))])
+        index = int(rng.integers(len(tasks)))
+        roll = number % 4
+        if roll == 1:
+            tasks[index] = dataclasses.replace(
+                tasks[index], task_id=f"τ-ü漢-{number}"
+            )
+        elif roll == 2 and isinstance(tasks[index], OffloadableTask):
+            tasks[index] = dataclasses.replace(tasks[index], post_time=-0.0)
+        elif roll == 3:
+            tasks[index] = dataclasses.replace(
+                tasks[index],
+                wcet=math.nextafter(tasks[index].wcet, math.inf),
+            )
+        requests.append(
+            AdmissionRequest(
+                request_id=f"请求-{number}",
+                tasks=TaskSet(tasks),
+                server_estimates={
+                    "edge": float(rng.uniform(0.5, 2.0)),
+                    "云": math.nextafter(1.0, 2.0),
+                },
+            )
+        )
+    return requests
+
+
+class TestAdmitFrames:
+    def test_golden_admit_frame(self):
+        request = golden_admit_request()
+        assert reference_admit(request) == GOLDEN_V2_ADMIT
+        encoder = AdmitEncoder()
+        assert encoder.admit(request) == GOLDEN_V2_ADMIT
+        assert encoder.admit(request) == GOLDEN_V2_ADMIT  # from fragments
+        record, consumed = decode_frame(GOLDEN_V2_ADMIT)
+        assert consumed == len(GOLDEN_V2_ADMIT)
+        assert record["request"] == request.to_dict()
+
+    def test_client_submit_writes_the_golden_frame(self):
+        request = golden_admit_request()
+        frame = captured_frame(lambda client: client.submit(request))
+        assert frame == GOLDEN_V2_ADMIT
+
+    def test_randomized_frames_equal_encode_frame(self):
+        encoder = AdmitEncoder()
+        requests = varied_requests(np.random.default_rng(28))
+        frames = [encoder.admit(request) for request in requests]
+        assert frames == [reference_admit(r) for r in requests]
+        # the variations really reach the wire
+        assert any(b'"post_time":-0.0' in frame for frame in frames)
+        assert any(b'"task_id":"\\u03c4-' in frame for frame in frames)
+        for start in range(0, len(requests), 7):
+            batch = requests[start:start + 7]
+            assert encoder.admit_batch(batch) == reference_admit_batch(batch)
+
+    def test_one_ulp_changes_the_frame(self):
+        request = golden_admit_request()
+        encoder = AdmitEncoder()
+        first = encoder.admit(request)
+        tasks = list(request.tasks)
+        tasks[1] = dataclasses.replace(
+            tasks[1], period=math.nextafter(tasks[1].period, math.inf)
+        )
+        changed = dataclasses.replace(request, tasks=TaskSet(tasks))
+        assert encoder.admit(changed) == reference_admit(changed) != first
+
+    def test_a_task_added_between_submits_is_in_the_next_frame(self):
+        request = golden_admit_request()
+        encoder = AdmitEncoder()
+        before = encoder.admit(request)
+        request.tasks.add(Task(task_id="t3", wcet=0.5, period=40.0))
+        after = encoder.admit(request)
+        assert after != before
+        assert after == reference_admit(request)
+        assert json.loads(after[HEADER.size:])["request"]["tasks"][-1][
+            "task_id"
+        ] == "t3"
+
+    def test_client_submit_batch_frame_equals_encode_frame(self):
+        requests = varied_requests(np.random.default_rng(5))[:9]
+        frame = captured_frame(
+            lambda client: client.submit_batch(requests)
+        )
+        assert frame == reference_admit_batch(requests)
+
+    def test_residency_stays_bounded_and_evicted_tasks_are_freed(self):
+        encoder = AdmitEncoder()
+        first = Task(task_id="t-first", wcet=1.0, period=10.0)
+        encoder.admit(
+            AdmissionRequest(request_id="r-first", tasks=TaskSet([first]))
+        )
+        freed = weakref.ref(first)
+        del first
+        for number in range(10_000):
+            task = Task(task_id=f"t{number}", wcet=1.0, period=10.0)
+            request = AdmissionRequest(
+                request_id=f"r{number}", tasks=TaskSet([task])
+            )
+            assert encoder.admit(request) == reference_admit(request)
+            assert len(encoder) <= encoder.capacity
+        assert len(encoder) == encoder.capacity
+        assert freed() is None

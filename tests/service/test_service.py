@@ -135,6 +135,56 @@ def test_backpressure_sheds_when_queue_is_full():
     run(scenario())
 
 
+def test_only_batches_with_a_miss_hop_and_only_from_the_miss_on(
+    monkeypatch,
+):
+    """Exact hits are answered on the event loop: an all-hit batch
+    never calls ``asyncio.to_thread``, and a batch whose third entry
+    misses hops once, with only the entries from that miss on."""
+    real_to_thread = asyncio.to_thread
+    hops = []
+
+    def no_hop(*args, **kwargs):
+        raise AssertionError("an all-hit batch hopped")
+
+    async def counted_hop(func, entries):
+        hops.append(len(entries))
+        return await real_to_thread(func, entries)
+
+    async def scenario():
+        service = small_service(
+            batch_policy=BatchPolicy(
+                max_batch=8, max_wait=0.05, queue_capacity=32
+            ),
+        )
+        async with service:
+            await asyncio.gather(
+                *(service.submit(make_request(f"w{i}", seed=i))
+                  for i in range(3))
+            )
+            before = service.stats()
+            monkeypatch.setattr(asyncio, "to_thread", no_hop)
+            hits = await asyncio.gather(
+                *(service.submit(make_request(f"h{i}", seed=i % 3))
+                  for i in range(6))
+            )
+            monkeypatch.setattr(asyncio, "to_thread", counted_hop)
+            mixed = await asyncio.gather(
+                *(service.submit(make_request(f"m{i}", seed=seed))
+                  for i, seed in enumerate((0, 1, 9, 2)))
+            )
+        return before, hits, mixed, service.stats()
+
+    before, hits, mixed, after = run(scenario())
+    assert all(r.admitted for r in hits + mixed)
+    assert {r.batch_size for r in mixed} == {4}  # one batch of four
+    assert hops == [2]  # the miss and the hit after it
+    assert before["cache"]["misses"] == 3
+    assert after["cache"]["hits"] == before["cache"]["hits"] + 6 + 3
+    assert after["hopped_batches"] == before["hopped_batches"] + 1
+    assert after["loop_answers"] == before["loop_answers"] + 6 + 2
+
+
 def test_forced_degradation_levels():
     async def scenario():
         async with small_service() as service:

@@ -123,3 +123,29 @@ def test_unknown_solver_raises():
 def test_empty_batch_is_noop():
     solver = ShardSolver(SolverCache())
     assert solver.solve_batch([]) == []
+
+
+def test_answer_hits_stops_at_the_first_miss_or_unknown_solver():
+    rng = random.Random(19)
+    solved, fresh = random_instance(rng), random_instance(rng)
+    cache = SolverCache()
+    solver = ShardSolver(cache)
+    entry = ("dp", solved, {"resolution": 20})
+    reference = solver.solve_batch([entry])[0]
+    counters = (cache.hits, cache.misses)
+
+    head = solver.answer_hits(
+        [entry, entry, ("dp", fresh, {"resolution": 20}), entry]
+    )
+    assert len(head) == 2
+    for selection in head:
+        if reference is None:
+            assert selection is None
+        else:
+            assert selection.choices == reference.choices
+            assert selection.instance is solved
+    # two hits counted; the miss it stopped at touched no counter
+    assert (cache.hits, cache.misses) == (counters[0] + 2, counters[1])
+
+    assert solver.answer_hits([("nope", solved, {}), entry]) == []
+    assert solver.answer_hits([]) == []

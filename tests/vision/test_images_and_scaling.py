@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.vision.images import (
-    embed_template,
-    generate_motion_sequence,
-    generate_scene,
-    generate_stereo_pair,
-)
+from repro.vision.images import generate_scene
 from repro.vision.psnr import PSNR_CAP, mse, psnr
 from repro.vision.scaling import downscale, roundtrip, scaled_shape, upscale
 
@@ -33,52 +28,6 @@ class TestSceneGeneration:
     def test_too_small_rejected(self, rng):
         with pytest.raises(ValueError):
             generate_scene(4, 4, rng=rng)
-
-
-class TestStereoPair:
-    def test_right_is_shifted_left(self, rng):
-        left, right, disparity = generate_stereo_pair(
-            80, 120, max_disparity=8, rng=rng
-        )
-        assert left.shape == right.shape == disparity.shape
-        # top band shifted by max disparity
-        band = slice(10, 20)
-        np.testing.assert_allclose(
-            right[band, : 120 - 8], left[band, 8:120], atol=1e-12
-        )
-
-    def test_disparity_bands_decrease_with_depth(self, rng):
-        _, _, disparity = generate_stereo_pair(90, 120, max_disparity=12,
-                                               rng=rng)
-        assert disparity[0, 0] == 12
-        assert disparity[89, 0] <= 3
-
-
-class TestMotionSequence:
-    def test_frames_differ_only_near_object(self, rng):
-        frames = generate_motion_sequence(num_frames=3, rng=rng)
-        delta = np.abs(frames[1] - frames[0])
-        assert (delta > 0.05).sum() > 0  # something moved
-        assert (delta > 0.05).mean() < 0.2  # most of the scene is static
-
-    def test_needs_two_frames(self, rng):
-        with pytest.raises(ValueError):
-            generate_motion_sequence(num_frames=1, rng=rng)
-
-
-class TestEmbedTemplate:
-    def test_pastes_at_position(self, rng):
-        scene = generate_scene(50, 50, rng=rng)
-        template = np.full((5, 5), 0.42)
-        out = embed_template(scene, template, (10, 20))
-        np.testing.assert_array_equal(out[10:15, 20:25], template)
-        # original untouched
-        assert not np.array_equal(scene[10:15, 20:25], template)
-
-    def test_out_of_bounds_rejected(self, rng):
-        scene = generate_scene(50, 50, rng=rng)
-        with pytest.raises(ValueError):
-            embed_template(scene, np.zeros((10, 10)), (45, 45))
 
 
 class TestScaling:
