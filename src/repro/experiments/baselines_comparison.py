@@ -34,7 +34,7 @@ from ..baselines.reservation import ReservationTransport
 from ..core.task import OffloadableTask
 from ..parallel import SweepRunner
 from ..runtime.system import OffloadingSystem
-from ..server.scenarios import SCENARIOS, build_server
+from ..server.scenarios import build_server
 from ..sim.engine import Simulator
 from ..sim.rng import RandomStreams, derive_seed
 from ..sim.trace import Trace
@@ -99,13 +99,12 @@ def _scenario_unit(
     seed: int,
 ) -> Dict[str, StrategyOutcome]:
     """All three strategies on one scenario; seeding is scenario-local."""
-    scenario = SCENARIOS[scenario_name]
     results: Dict[str, StrategyOutcome] = {}
 
     # --- the paper's compensation mechanism -----------------------
     tasks = table1_task_set()
     report = OffloadingSystem(
-        tasks, scenario=scenario, solver="dp",
+        tasks, scenario=scenario_name, solver="dp",
         seed=derive_seed(seed, f"comp:{scenario_name}"),
     ).run(horizon)
     results["compensation"] = _outcome(
@@ -121,7 +120,7 @@ def _scenario_unit(
     }
     sim = Simulator()
     built = build_server(
-        sim, scenario,
+        sim, scenario_name,
         RandomStreams(seed=derive_seed(seed, f"greedy:{scenario_name}")),
     )
     greedy = GreedyOffloadScheduler(

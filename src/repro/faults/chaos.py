@@ -26,11 +26,8 @@ from typing import Optional
 import numpy as np
 
 from ..core.task import TaskSet
-from ..runtime.health import (
-    CircuitBreaker,
-    ResilienceReport,
-    ResilientOffloadingSystem,
-)
+from ..runtime.health import CircuitBreaker, ResilientOffloadingSystem
+from ..runtime.system import WindowedReport
 from ..sim.rng import derive_seed
 from .injectors import FaultEvent, FaultSchedule
 
@@ -98,7 +95,7 @@ class ChaosReport:
     window: float
     num_windows: int
     schedule: FaultSchedule
-    resilience: ResilienceReport
+    resilience: WindowedReport
 
     # ------------------------------------------------------------------
     # verdicts

@@ -1,26 +1,30 @@
 """End-to-end runtime: the Figure 1 software architecture as a facade,
-plus the adaptive re-estimation loop and the health/circuit-breaker
-resilience loop extensions."""
+plus the windowed re-decision loop with its two policies (adaptive
+re-estimation and health/circuit-breaker resilience)."""
 
-from .adaptive import AdaptiveOffloadingSystem, AdaptiveReport, WindowRecord
+from .adaptive import AdaptiveOffloadingSystem
 from .admission import AdmissionController, AdmissionVerdict
 from .energy import EnergyReport, PowerModel, compare_energy, energy_report
 from .health import (
     CircuitBreaker,
-    ResilienceReport,
-    ResilienceWindow,
     ResilientOffloadingSystem,
     local_only_tasks,
 )
 from .report import SystemReport
-from .system import OffloadingSystem
+from .system import (
+    OffloadingSystem,
+    WindowedOffloadingSystem,
+    WindowedReport,
+    WindowRecord,
+)
 
 __all__ = [
     "OffloadingSystem",
     "SystemReport",
-    "AdaptiveOffloadingSystem",
-    "AdaptiveReport",
+    "WindowedOffloadingSystem",
+    "WindowedReport",
     "WindowRecord",
+    "AdaptiveOffloadingSystem",
     "AdmissionController",
     "AdmissionVerdict",
     "PowerModel",
@@ -28,8 +32,6 @@ __all__ = [
     "energy_report",
     "compare_energy",
     "CircuitBreaker",
-    "ResilienceWindow",
-    "ResilienceReport",
     "ResilientOffloadingSystem",
     "local_only_tasks",
 ]

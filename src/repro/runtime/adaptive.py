@@ -26,33 +26,33 @@ recovers the *benefit* lost to bad estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.benefit import scale_response_times
-from ..core.odm import OffloadingDecision, OffloadingDecisionManager
+from ..core.odm import OffloadingDecision
 from ..core.task import OffloadableTask, TaskSet
-from ..sched.offload_scheduler import OffloadingScheduler
 from ..sched.transport import OffloadRequest, OffloadTransport
-from ..server.scenarios import SCENARIOS, ServerScenario, build_server
-from ..sim.engine import Simulator
-from ..sim.rng import RandomStreams, derive_seed
 from ..sim.trace import Trace
+from .system import WindowedOffloadingSystem, WindowedReport, WindowRecord
 
 if TYPE_CHECKING:  # pragma: no cover — runtime import would be cyclic
     from ..faults.injectors import FaultSchedule
+    from ..server.scenarios import ServerScenario
 
-__all__ = ["AdaptiveOffloadingSystem", "AdaptiveReport", "WindowRecord"]
+__all__ = ["AdaptiveOffloadingSystem"]
 
 
 class _PerTaskRecordingTransport:
-    """Wraps a transport, recording observed response times per task."""
+    """Wraps a window's transport, recording observed response times
+    per task; :meth:`wrap` starts a new window."""
 
-    def __init__(self, inner: OffloadTransport) -> None:
+    def wrap(self, inner: OffloadTransport) -> "_PerTaskRecordingTransport":
         self.inner = inner
         self.samples: Dict[str, List[float]] = {}
+        return self
 
     def submit(
         self, request: OffloadRequest, on_result: Callable[[float], None]
@@ -68,32 +68,9 @@ class _PerTaskRecordingTransport:
         self.inner.submit(request, recording_result)
 
 
-@dataclass
-class WindowRecord:
-    """What one adaptation window observed and decided."""
-
-    window: int
-    response_times: Dict[str, float]
-    expected_benefit: float
-    realized_benefit: float
-    return_rate: float
-    compensation_rate: float
-    deadline_misses: int
-    correction_factors: Dict[str, float] = field(default_factory=dict)
-
-
-@dataclass
-class AdaptiveReport:
-    """Full run: one record per window."""
-
-    windows: List[WindowRecord] = field(default_factory=list)
-
-    def series(self, attr: str) -> List[float]:
-        return [getattr(w, attr) for w in self.windows]
-
-
-class AdaptiveOffloadingSystem:
-    """Windowed decide → run → observe → correct loop.
+class AdaptiveOffloadingSystem(WindowedOffloadingSystem):
+    """The windowed loop's belief policy: decide → run → observe →
+    correct.
 
     Parameters
     ----------
@@ -133,26 +110,16 @@ class AdaptiveOffloadingSystem:
         min_samples: int = 3,
         fault_schedule: Optional["FaultSchedule"] = None,
     ) -> None:
-        if isinstance(scenario, str):
-            if scenario not in SCENARIOS:
-                raise ValueError(f"unknown scenario {scenario!r}")
-            scenario = SCENARIOS[scenario]
         if not 0 < alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
         if max_step <= 1:
             raise ValueError("max_step must exceed 1")
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.tasks = tasks
-        self.scenario = scenario
-        self.seed = seed
-        self.window = window
+        super().__init__(tasks, scenario, solver, seed, window, fault_schedule)
         self.percentile = percentile
         self.alpha = alpha
         self.max_step = max_step
         self.min_samples = min_samples
-        self.fault_schedule = fault_schedule
-        self.odm = OffloadingDecisionManager(solver=solver)
+        self._recorder = _PerTaskRecordingTransport()
         #: accumulated multiplicative correction per task (1.0 = trust
         #: the original estimate)
         self.correction: Dict[str, float] = {
@@ -209,72 +176,41 @@ class AdaptiveOffloadingSystem:
         return applied
 
     # ------------------------------------------------------------------
-    # main loop
+    # the loop's policy hooks
     # ------------------------------------------------------------------
-    def run(self, num_windows: int = 5) -> AdaptiveReport:
-        """Run ``num_windows`` windows on one continuous server."""
-        if num_windows <= 0:
-            raise ValueError("num_windows must be positive")
-        report = AdaptiveReport()
-        for index in range(num_windows):
-            believed = self._believed_tasks()
-            decision = self.odm.decide(believed)
+    def decide_window(self) -> Tuple[OffloadingDecision, Dict[str, Any]]:
+        """Decide over the believed tasks; simulate the true ones."""
+        believed = self._believed_tasks()
+        decision = self.odm.decide(believed)
 
-            # Pin realized benefits to the true quality of the level
-            # each believed r corresponds to (the believed staircase is
-            # a horizontally scaled copy of the true one, so positions
-            # match 1:1).
-            overrides: Dict[str, float] = {}
-            workload_anchors: Dict[str, float] = {}
-            for task_id, r in decision.response_times.items():
-                if r <= 0:
-                    continue
-                believed_task = believed[task_id]
-                level = believed_task.benefit.response_times.index(r)
-                true_point = self.tasks[task_id].benefit.points[level]
-                overrides[task_id] = true_point.benefit
-                workload_anchors[task_id] = true_point.response_time
+        # Pin realized benefits to the true quality of the level each
+        # believed r corresponds to (the believed staircase is a
+        # horizontally scaled copy of the true one, so positions match
+        # 1:1).
+        overrides: Dict[str, float] = {}
+        workload_anchors: Dict[str, float] = {}
+        for task_id, r in decision.response_times.items():
+            if r <= 0:
+                continue
+            believed_task = believed[task_id]
+            level = believed_task.benefit.response_times.index(r)
+            true_point = self.tasks[task_id].benefit.points[level]
+            overrides[task_id] = true_point.benefit
+            workload_anchors[task_id] = true_point.response_time
+        return decision, {
+            "wrap_transport": self._recorder.wrap,
+            "offload_benefit_overrides": overrides,
+            "level_workload_overrides": workload_anchors,
+        }
 
-            sim = Simulator()
-            streams = RandomStreams(seed=derive_seed(self.seed, f"w{index}"))
-            built = build_server(sim, self.scenario, streams)
-            inner: OffloadTransport = built.transport
-            if self.fault_schedule is not None:
-                from ..faults.injectors import FaultInjectionTransport
+    def observe_window(
+        self, record: WindowRecord, decision: OffloadingDecision, trace: Trace
+    ) -> None:
+        record.correction_factors = self._update_corrections(
+            decision, self._recorder.samples, trace
+        )
 
-                inner = FaultInjectionTransport(
-                    sim,
-                    inner,
-                    self.fault_schedule,
-                    time_offset=index * self.window,
-                    rng=streams.get(f"faults{index}"),
-                )
-            transport = _PerTaskRecordingTransport(inner)
-            scheduler = OffloadingScheduler(
-                sim,
-                self.tasks,  # real timing parameters, believed decisions
-                response_times=decision.response_times,
-                transport=transport,
-                offload_benefit_overrides=overrides,
-                level_workload_overrides=workload_anchors,
-            )
-            trace = scheduler.run(self.window)
-
-            offloaded = [
-                rec for rec in trace.jobs.values() if rec.offloaded
-            ]
-            returned = sum(1 for rec in offloaded if rec.result_returned)
-            record = WindowRecord(
-                window=index,
-                response_times=dict(decision.response_times),
-                expected_benefit=decision.expected_benefit,
-                realized_benefit=trace.total_benefit(),
-                return_rate=returned / len(offloaded) if offloaded else 0.0,
-                compensation_rate=trace.compensation_rate(),
-                deadline_misses=trace.deadline_miss_count,
-            )
-            record.correction_factors = self._update_corrections(
-                decision, transport.samples, trace
-            )
-            report.windows.append(record)
-        return report
+    def run(self, num_windows: int = 5) -> WindowedReport:
+        """Run ``num_windows`` windows, each on a fresh engine and
+        server."""
+        return super().run(num_windows)

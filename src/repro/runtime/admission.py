@@ -11,9 +11,12 @@ the existing guarantees.
    the newcomer locally (or at one of its own benefit points) if the
    Theorem 3 budget still closes.  O(Q_new) work, nothing re-planned.
 2. **Re-plan** — re-run the full ODM over the union.  Existing tasks
-   may be re-assigned (different ``R_i``, offload↔local), which is safe
-   — the guarantee is per-decision, not per-history — but is reported
-   so the caller can apply the changes atomically at a job boundary.
+   may be re-assigned (different ``R_i``, offload↔local), and the
+   changes are reported.  Theorem 3 covers each decision on its own,
+   not the switch between two: applying the re-plan to every task at
+   its next job boundary can miss a deadline
+   (``tests/sched/test_mode_change_counterexample.py``).  ROADMAP
+   item 11 tracks the mode-change rule that makes the switch safe.
 
 Rejection means the union is infeasible even all-local, i.e. the
 newcomer simply does not fit on this processor.

@@ -14,9 +14,9 @@ resilience loop:
 * :class:`BreakerBank` keeps one breaker per named server plus that
   server's outcome counts for the current window — the per-server
   health of the decision manager and of the online service;
-* :class:`ResilientOffloadingSystem` runs the windowed decide → run →
-  observe loop end to end, composing with the fault injectors in
-  :mod:`repro.faults`.
+* :class:`ResilientOffloadingSystem` is the breaker policy of the
+  windowed loop in :mod:`repro.runtime.system`, composing with the
+  fault injectors in :mod:`repro.faults`.
 
 Deadline safety never depends on any of this: whatever state the
 breaker is in, Theorem 3 holds for the decision in force and local
@@ -27,27 +27,23 @@ and re-admits them when the server recovers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..core.benefit import BenefitFunction
-from ..core.odm import DEFAULT_SERVER, OffloadingDecisionManager
+from ..core.odm import DEFAULT_SERVER, OffloadingDecision
 from ..core.task import OffloadableTask, TaskSet
-from ..observability import Observability, maybe_profiled
-from ..sched.offload_scheduler import OffloadingScheduler
-from ..server.scenarios import SCENARIOS, ServerScenario, build_server
-from ..sim.engine import Simulator
-from ..sim.rng import RandomStreams, derive_seed
+from ..observability import Observability
+from ..sim.trace import Trace
+from .system import WindowedOffloadingSystem, WindowRecord
 
 if TYPE_CHECKING:  # pragma: no cover — runtime import would be cyclic
     from ..faults.injectors import FaultSchedule
+    from ..server.scenarios import ServerScenario
 
 __all__ = [
     "BREAKER_STATES",
     "CircuitBreaker",
     "BreakerBank",
-    "ResilienceWindow",
-    "ResilienceReport",
     "ResilientOffloadingSystem",
     "local_only_tasks",
 ]
@@ -265,73 +261,10 @@ class BreakerBank:
         }
 
 
-@dataclass
-class ResilienceWindow:
-    """What one resilience window decided and observed."""
+class ResilientOffloadingSystem(WindowedOffloadingSystem):
+    """The windowed loop's breaker policy: breaker-driven degradation.
 
-    window: int
-    #: breaker state the window *ran* under (before its evidence lands)
-    state: str
-    response_times: Dict[str, float]
-    offloaded: int
-    returned: int
-    compensated: int
-    realized_benefit: float
-    expected_benefit: float
-    deadline_misses: int
-
-    @property
-    def failure_rate(self) -> float:
-        """Fraction of this window's finished offloads that needed
-        compensation (0 when none finished)."""
-        outcomes = self.returned + self.compensated
-        return self.compensated / outcomes if outcomes else 0.0
-
-    @property
-    def degraded(self) -> bool:
-        return self.state == "open"
-
-
-@dataclass
-class ResilienceReport:
-    """Full resilient run: one record per window plus breaker history."""
-
-    windows: List[ResilienceWindow] = field(default_factory=list)
-    transitions: List[Tuple[int, str, str]] = field(default_factory=list)
-    trips: int = 0
-    recoveries: int = 0
-
-    @property
-    def deadline_misses(self) -> int:
-        return sum(w.deadline_misses for w in self.windows)
-
-    @property
-    def hard_deadline_invariant(self) -> bool:
-        """The property the whole mechanism exists for."""
-        return self.deadline_misses == 0
-
-    @property
-    def degraded_windows(self) -> int:
-        return sum(1 for w in self.windows if w.degraded)
-
-    def recovery_latency_windows(self) -> Optional[int]:
-        """Windows from the last trip to the following re-close.
-
-        ``None`` when the breaker never tripped or never recovered.
-        """
-        last_open = None
-        for window, _old, new in self.transitions:
-            if new == "open":
-                last_open = window
-            elif new == "closed" and last_open is not None:
-                return window - last_open
-        return None
-
-
-class ResilientOffloadingSystem:
-    """Windowed decide → run → observe loop with breaker degradation.
-
-    The loop decides through the manager's breaker bank
+    Every window decides through the manager's breaker bank
     (:attr:`OffloadingDecisionManager.health`) on the one server
     :data:`~repro.core.odm.DEFAULT_SERVER`:
 
@@ -361,117 +294,27 @@ class ResilientOffloadingSystem:
         breaker: Optional[CircuitBreaker] = None,
         observability: Optional[Observability] = None,
     ) -> None:
-        if isinstance(scenario, str):
-            if scenario not in SCENARIOS:
-                raise ValueError(
-                    f"unknown scenario {scenario!r}; presets: "
-                    f"{sorted(SCENARIOS)}"
-                )
-            scenario = SCENARIOS[scenario]
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.tasks = tasks
-        self.scenario = scenario
-        self.seed = seed
-        self.window = window
-        self.fault_schedule = fault_schedule
-        # the loop re-decides the same (or local-only) instance every
-        # window, so cache hits make re-decisions free after the first
-        self.odm = OffloadingDecisionManager(solver=solver, cache=True)
+        super().__init__(
+            tasks, scenario, solver, seed, window, fault_schedule,
+            observability,
+        )
         if breaker is not None:
             self.odm.health.breakers[DEFAULT_SERVER] = breaker
-        self.observability = (
-            observability
-            if observability is not None
-            else Observability.disabled()
-        )
 
     @property
     def breaker(self) -> CircuitBreaker:
         """The manager's breaker for the server this loop offloads to."""
         return self.odm.health.breaker(DEFAULT_SERVER)
 
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    def run(self, num_windows: int = 8) -> ResilienceReport:
-        from ..faults.injectors import FaultInjectionTransport
+    def decide_window(self) -> Tuple[OffloadingDecision, Dict[str, Any]]:
+        return self.odm.decide(self.tasks), {}
 
-        if num_windows <= 0:
-            raise ValueError("num_windows must be positive")
-        obs = self.observability
-        bus = obs.bus
-        report = ResilienceReport()
-        for index in range(num_windows):
-            state_during = self.breaker.state
-            # window-local sim time is offset onto the global timeline
-            # so the one event stream spans every window
-            bus.clock_offset = index * self.window
-            decision = self.odm.decide(self.tasks)
-            if bus.enabled:
-                bus.emit(
-                    "odm.decision",
-                    0.0,
-                    window=index,
-                    solver=self.odm.solver_name,
-                    degraded=decision.degraded,
-                    offloaded=sorted(decision.offloaded_task_ids),
-                    expected_benefit=decision.expected_benefit,
-                    demand_rate=decision.total_demand_rate,
-                )
-
-            sim = Simulator(bus=bus)
-            streams = RandomStreams(seed=derive_seed(self.seed, f"w{index}"))
-            built = build_server(sim, self.scenario, streams)
-            transport = built.transport
-            if self.fault_schedule is not None:
-                transport = FaultInjectionTransport(
-                    sim,
-                    transport,
-                    self.fault_schedule,
-                    time_offset=index * self.window,
-                    rng=streams.get(f"faults{index}"),
-                )
-            scheduler = OffloadingScheduler(
-                sim,
-                self.tasks,
-                response_times=decision.response_times,
-                transport=transport,
-            )
-            with maybe_profiled(obs.profiler):
-                trace = scheduler.run(self.window)
-
-            offloaded = [r for r in trace.jobs.values() if r.offloaded]
-            returned = sum(1 for r in offloaded if r.result_returned)
-            compensated = sum(1 for r in offloaded if r.compensated)
-            report.windows.append(
-                ResilienceWindow(
-                    window=index,
-                    state=state_during,
-                    response_times=dict(decision.response_times),
-                    offloaded=len(offloaded),
-                    returned=returned,
-                    compensated=compensated,
-                    realized_benefit=trace.total_benefit(),
-                    expected_benefit=decision.expected_benefit,
-                    deadline_misses=trace.deadline_miss_count,
-                )
-            )
-            state_before = self.breaker.state
-            self.odm.health.record(
-                DEFAULT_SERVER, successes=returned, failures=compensated
-            )
-            state_after = self.odm.health.close_window(index)[DEFAULT_SERVER]
-            if bus.enabled and state_after != state_before:
-                bus.emit(
-                    "breaker.state",
-                    self.window,  # window end, offset to global time
-                    window=index,
-                    old=state_before,
-                    new=state_after,
-                )
-        bus.clock_offset = 0.0
-        report.transitions = list(self.breaker.transitions)
-        report.trips = self.breaker.trips
-        report.recoveries = self.breaker.recoveries
-        return report
+    def observe_window(
+        self, record: WindowRecord, decision: OffloadingDecision, trace: Trace
+    ) -> None:
+        self.odm.health.record(
+            DEFAULT_SERVER,
+            successes=record.returned,
+            failures=record.compensated,
+        )
+        self.odm.health.close_window(record.window)

@@ -7,8 +7,7 @@ deadline conformance — plus the decision that produced them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass
 
 from ..core.odm import OffloadingDecision
 from ..sim.trace import Trace
@@ -48,36 +47,22 @@ class SystemReport:
 
     @property
     def offloaded_jobs(self) -> int:
-        return sum(1 for rec in self.trace.jobs.values() if rec.offloaded)
+        return self.trace.offload_counts()[0]
 
     @property
     def returned_jobs(self) -> int:
         """Offloaded jobs whose server result arrived within ``R_i``."""
-        return sum(
-            1 for rec in self.trace.jobs.values() if rec.result_returned
-        )
+        return self.trace.offload_counts()[1]
 
     @property
     def compensated_jobs(self) -> int:
-        return sum(1 for rec in self.trace.jobs.values() if rec.compensated)
+        return self.trace.offload_counts()[2]
 
     @property
     def return_rate(self) -> float:
         """Fraction of offloaded jobs served in time by the server."""
-        offloaded = self.offloaded_jobs
-        return self.returned_jobs / offloaded if offloaded else 0.0
-
-    def per_task_return_rate(self) -> Dict[str, float]:
-        rates: Dict[str, float] = {}
-        by_task: Dict[str, list] = {}
-        for rec in self.trace.jobs.values():
-            if rec.offloaded:
-                by_task.setdefault(rec.task_id, []).append(rec)
-        for task_id, recs in by_task.items():
-            rates[task_id] = sum(
-                1 for r in recs if r.result_returned
-            ) / len(recs)
-        return rates
+        offloaded, returned, _ = self.trace.offload_counts()
+        return returned / offloaded if offloaded else 0.0
 
     # ------------------------------------------------------------------
     # rendering

@@ -35,7 +35,7 @@ from .transport import (
     WorkModel,
 )
 
-__all__ = ["ServerScenario", "SCENARIOS", "build_server"]
+__all__ = ["ServerScenario", "SCENARIOS", "resolve_scenario", "build_server"]
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,17 @@ SCENARIOS: Dict[str, ServerScenario] = {
 }
 
 
+def resolve_scenario(scenario: "ServerScenario | str") -> ServerScenario:
+    """``scenario`` itself, or the preset it names."""
+    if isinstance(scenario, ServerScenario):
+        return scenario
+    if scenario not in SCENARIOS:
+        raise ValueError(
+            f"unknown scenario {scenario!r}; presets: {sorted(SCENARIOS)}"
+        )
+    return SCENARIOS[scenario]
+
+
 @dataclass
 class BuiltServer:
     """Everything :func:`build_server` wires together."""
@@ -115,16 +126,18 @@ class BuiltServer:
 
 def build_server(
     sim: Simulator,
-    scenario: ServerScenario,
+    scenario: "ServerScenario | str",
     streams: RandomStreams,
     work_model: Optional[WorkModel] = None,
     start_background: bool = True,
 ) -> BuiltServer:
-    """Instantiate the full server stack for ``scenario`` on ``sim``.
+    """Instantiate the full server stack for ``scenario`` (a
+    :class:`ServerScenario` or a preset name) on ``sim``.
 
     Random draws use streams namespaced per component so scenarios are
     comparable under a common seed.
     """
+    scenario = resolve_scenario(scenario)
     devices = [
         GpuDevice(
             sim,

@@ -226,6 +226,17 @@ class Trace:
             return 0.0
         return sum(1 for rec in offloaded if rec.compensated) / len(offloaded)
 
+    def offload_counts(self) -> Tuple[int, int, int]:
+        """``(offloaded, returned, compensated)`` job counts; a returned
+        job's server result arrived within ``R_i``."""
+        offloaded = returned = compensated = 0
+        for rec in self.jobs.values():
+            if rec.offloaded:
+                offloaded += 1
+                returned += rec.result_returned
+                compensated += rec.compensated
+        return offloaded, returned, compensated
+
     def total_benefit(self) -> float:
         """Sum of realized per-job benefit over all finished jobs."""
         return sum(rec.benefit for rec in self.jobs.values())

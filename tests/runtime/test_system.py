@@ -65,14 +65,6 @@ class TestOffloadingSystem:
         assert "realized benefit" in text
         assert "deadline misses: 0" in text
 
-    def test_per_task_return_rate(self, table1_tasks):
-        report = OffloadingSystem(
-            table1_tasks, scenario="idle", seed=1
-        ).run(10.0)
-        rates = report.per_task_return_rate()
-        assert set(rates) == set(report.decision.offloaded_task_ids)
-        assert all(0.0 <= v <= 1.0 for v in rates.values())
-
     def test_heuristic_solver_also_runs(self, table1_tasks):
         report = OffloadingSystem(
             table1_tasks, scenario="idle", solver="heu_oe", seed=1
